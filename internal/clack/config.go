@@ -62,16 +62,6 @@ func (e *Element) NumPorts() int { return len(e.conns) }
 // Conn returns the name of the element connected to output port i.
 func (e *Element) Conn(i int) string { return e.conns[i] }
 
-// ByName returns the named element, or nil.
-func (g *Graph) ByName(name string) *Element { return g.byName[name] }
-
-// IsSourceType reports whether an element class is a packet source
-// (exports a Step bundle rather than a Push input).
-func IsSourceType(typ string) bool { return elemTypes[typ].isSource }
-
-// NeedsDev reports whether an element class takes a device argument.
-func NeedsDev(typ string) bool { return elemTypes[typ].needsDev }
-
 // Graph is a parsed Click configuration.
 type Graph struct {
 	Elements []*Element

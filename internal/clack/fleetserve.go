@@ -1,8 +1,11 @@
 package clack
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"knit/internal/knit/build"
 	"knit/internal/knit/build/faultinject"
@@ -116,87 +119,69 @@ func (spec FlowSpec) Generate() []FlowPacket {
 	return out
 }
 
-// shardIO is one shard's host-side NIC state: the ingress queues its
-// handler fills, the device statistics, and the per-flow order check.
-// It lives and dies with one machine boot; ServeFleet folds retired
-// generations into per-shard totals at respawn.
+// shardIO is one shard's host side: its NIC, whose transmit hook feeds
+// the fleet-global order oracle, and its kmain counters. Setup rewinds
+// the ingress queues at every machine boot — a dead machine's unpolled
+// packets die with it — while the counters run across every generation
+// the shard goes through.
 type shardIO struct {
-	rx    [2][]Packet
-	head  [2]int
-	stats DeviceStats
-	// lastSeq tracks the highest sequence transmitted per flow; a
-	// transmit at or below it is an ordering violation.
-	lastSeq map[int64]int64
-	// oracle, when set, replaces lastSeq with a fleet-global order check
-	// that survives respawns and follows a flow across a re-steer — the
-	// overload rig's end-to-end ordering proof.
-	oracle          *orderOracle
+	nic
 	orderViolations int
 	faults          int
 	calls           int
 }
 
-func (io *shardIO) remaining() int {
-	return (len(io.rx[0]) - io.head[0]) + (len(io.rx[1]) - io.head[1])
+func newShardIO(oracle *orderOracle) *shardIO {
+	io := &shardIO{}
+	io.onTx = func(pkt []int64) {
+		if !oracle.check(pkt[6+payloadFlowWord], pkt[6+payloadSeqWord]) {
+			io.orderViolations++
+		}
+	}
+	return io
 }
 
-// installShardDevices mirrors InstallDevices but reads from refillable
-// per-shard queues and verifies per-flow transmit order.
-func installShardDevices(m *machine.M, io *shardIO) {
-	bufAddr := func(dev int64) int64 {
-		return int64(len(m.Mem)) - (dev+1)*PktWords
+// drain drives kmain one iteration at a time (a fault costs at most the
+// packets in flight) until the ingress queues are dry, then rewinds
+// them. The bound mirrors ServeSupervised: a healthy or degraded shard
+// consumes at least one of the n queued packets per iteration; only a
+// machine the supervisor has given up on (dead instance, every call
+// failing) exhausts it, and that is exactly the respawn case.
+func (io *shardIO) drain(sup *supervise.Supervisor, n int) error {
+	limit := io.calls + 4*n + 64
+	for io.remaining() > 0 {
+		if io.calls >= limit {
+			return fmt.Errorf("no progress after %d kmain calls (%d packets stuck)",
+				limit, io.remaining())
+		}
+		io.calls++
+		if _, err := sup.Call("main", "kmain", 1); err != nil {
+			io.faults++
+		}
 	}
-	m.RegisterBuiltin("__rx_poll", func(mm *machine.M, args []int64) (int64, error) {
-		dev := args[0]
-		if dev < 0 || dev > 1 {
-			return 0, fmt.Errorf("clack: rx on bad device %d", dev)
-		}
-		if io.head[dev] >= len(io.rx[dev]) {
-			return 0, nil
-		}
-		p := io.rx[dev][io.head[dev]]
-		io.head[dev]++
-		io.stats.Rx[dev]++
-		addr := bufAddr(dev)
-		if err := mm.WriteWords(addr, p.words()); err != nil {
-			return 0, err
-		}
-		return addr, nil
-	})
-	m.RegisterBuiltin("__tx", func(mm *machine.M, args []int64) (int64, error) {
-		dev, addr := args[0], args[1]
-		if dev < 0 || dev > 1 {
-			return 0, fmt.Errorf("clack: tx on bad device %d", dev)
-		}
-		io.stats.Tx[dev]++
-		kind := mm.Mem[addr]
-		ttl := mm.Mem[addr+1]
-		if kind == KindIP {
-			if ttl <= 0 {
-				io.stats.TxBad = append(io.stats.TxBad,
-					fmt.Sprintf("tx dev%d: IP packet with ttl %d", dev, ttl))
-			} else {
-				io.stats.TxTTLOK++
-			}
-		}
-		flow := mm.Mem[addr+6+payloadFlowWord]
-		seq := mm.Mem[addr+6+payloadSeqWord]
-		if io.oracle != nil {
-			if !io.oracle.check(flow, seq) {
-				io.orderViolations++
-			}
-		} else {
-			if seq <= io.lastSeq[flow] {
-				io.orderViolations++
-			}
-			io.lastSeq[flow] = seq
-		}
-		return 0, nil
-	})
-	m.RegisterBuiltin("__drop", func(mm *machine.M, args []int64) (int64, error) {
-		io.stats.Dropped++
-		return 0, nil
-	})
+	io.rewind()
+	return nil
+}
+
+// orderOracle is the fleet-global per-flow order check: one monotonic
+// sequence ledger shared by every shard's __tx builtin, surviving
+// respawns and following a flow across a re-steer. Mutexed — shard
+// goroutines transmit concurrently.
+type orderOracle struct {
+	mu      sync.Mutex
+	lastSeq map[int64]int64
+}
+
+func newOrderOracle() *orderOracle { return &orderOracle{lastSeq: map[int64]int64{}} }
+
+// check records a transmit of flow's packet seq and reports whether it
+// kept the flow's order (seq above everything transmitted before).
+func (o *orderOracle) check(flow, seq int64) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ok := seq > o.lastSeq[flow]
+	o.lastSeq[flow] = seq
+	return ok
 }
 
 // ShardServeStats is one shard's cumulative serving record, summed over
@@ -231,105 +216,144 @@ type FleetReport struct {
 	Metrics *observe.Report
 }
 
-// serveRig is the host side of a serving fleet — per-shard NIC queues,
-// generation totals, the fleet Setup and batch handler, and report
-// assembly — shared by ServeFleet and ServeFleetUpgrade so a live
-// reconfiguration serves through exactly the machinery a plain run
-// does.
-type serveRig struct {
-	// ios holds each shard's current-generation IO; totals accumulate
-	// retired generations at respawn time (Setup runs again on the same
-	// ID).
-	ios        []*shardIO
-	totals     []ShardServeStats
-	faultEvery int
-	victimSym  string
+// rig is the host side of every serving mode — per-shard NIC state, the
+// fleet-global order oracle, an optional fault schedule, the fleet's
+// Setup and batch handler, and report assembly. ServeFleet,
+// ServeFleetUpgrade and ServeOverload (capacity run included) all serve
+// through it, so every mode exercises exactly the same machinery.
+type rig struct {
+	fl  *fleet.Fleet[FlowPacket]
+	ios []*shardIO
+	// trapEvery > 0 traps shard 0's Classifier (trapSym) on every
+	// trapEvery-th call: ServeFleet's blast-radius scenario.
+	trapEvery int
+	trapSym   string
+	// killEvery > 0 arms the overload soak's fleet-wide kill lever: the
+	// shard that next serves a packet once processed crosses nextKill
+	// dies.
+	killEvery int64
+	// perPacket drives and acks one packet at a time; set when the fleet
+	// replays dead shards' batches (RedeliverAttempts > 0), the only
+	// case where acks matter.
+	perPacket bool
+	processed atomic.Int64
+	nextKill  atomic.Int64
 }
 
-func newServeRig(res *build.Result, shards, faultEvery int) (*serveRig, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("clack: fleet needs at least 1 shard, got %d", shards)
+var errShardKilled = errors.New("clack: overload soak killed this shard")
+
+// newRig builds the fleet described by cfg (its Setup is the rig's)
+// with the given fault schedule.
+func newRig(res *build.Result, cfg fleet.Config, trapEvery, killEvery int) (*rig, error) {
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("clack: fleet needs at least 1 shard, got %d", cfg.Shards)
 	}
-	rg := &serveRig{
-		ios:        make([]*shardIO, shards),
-		totals:     make([]ShardServeStats, shards),
-		faultEvery: faultEvery,
+	rg := &rig{
+		ios:       make([]*shardIO, cfg.Shards),
+		trapEvery: trapEvery,
+		killEvery: int64(killEvery),
+		perPacket: cfg.RedeliverAttempts > 0,
 	}
-	if faultEvery > 0 {
+	oracle := newOrderOracle()
+	for id := range rg.ios {
+		rg.ios[id] = newShardIO(oracle)
+	}
+	rg.nextKill.Store(rg.killEvery)
+	if trapEvery > 0 {
 		victim := FirstInstanceOf(res, "Classifier")
 		if victim == nil {
 			return nil, fmt.Errorf("clack: no Classifier instance to inject faults into")
 		}
-		rg.victimSym = victim.ExportSyms["in"]["push"]
+		rg.trapSym = victim.ExportSyms["in"]["push"]
 	}
+	cfg.Setup = rg.setup
+	fl, err := fleet.New[FlowPacket](res, cfg, rg.handler)
+	if err != nil {
+		return nil, err
+	}
+	rg.fl = fl
 	return rg, nil
 }
 
-func (rg *serveRig) retire(id int) {
-	io := rg.ios[id]
-	if io == nil {
-		return
-	}
-	rg.totals[id].Rx += io.stats.Rx[0] + io.stats.Rx[1]
-	rg.totals[id].Tx += io.stats.Tx[0] + io.stats.Tx[1]
-	rg.totals[id].Dropped += io.stats.Dropped
-	rg.totals[id].Faults += io.faults
-	rg.totals[id].Calls += io.calls
-	rg.totals[id].OrderViolations += io.orderViolations
-}
-
-func (rg *serveRig) setup(id int, m *machine.M) error {
+func (rg *rig) setup(id int, m *machine.M) error {
 	machine.InstallStopWatch(m)
 	if id == fleet.Prototype {
 		// The prototype only runs the init schedule; give it inert
 		// devices in case an initializer touches them.
-		installShardDevices(m, &shardIO{lastSeq: map[int64]int64{}})
+		newShardIO(newOrderOracle()).install(m)
 		return nil
 	}
-	rg.retire(id)
-	rg.ios[id] = &shardIO{lastSeq: map[int64]int64{}}
-	installShardDevices(m, rg.ios[id])
-	if rg.faultEvery > 0 && id == 0 {
-		faultinject.Attach(m).TrapCallEvery(rg.victimSym, rg.faultEvery)
+	rg.ios[id].rewind()
+	rg.ios[id].install(m)
+	if rg.trapEvery > 0 && id == 0 {
+		faultinject.Attach(m).TrapCallEvery(rg.trapSym, rg.trapEvery)
 	}
 	return nil
 }
 
-func (rg *serveRig) handler(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
+// killed pulls the kill lever: true for exactly one caller per
+// killEvery processed packets, fleet-wide.
+func (rg *rig) killed() bool {
+	if rg.killEvery == 0 {
+		return false
+	}
+	next := rg.nextKill.Load()
+	return rg.processed.Load() >= next && rg.nextKill.CompareAndSwap(next, next+rg.killEvery)
+}
+
+// handler serves a batch. When the fleet does not replay, it queues the
+// whole batch and drains it in one pass — per-packet driving costs
+// measurably more, and acks would go unused. When it replays, it serves
+// packet by packet, acking each and pulling the kill lever in between: a
+// kill then takes the machine but not the unacked remainder, which the
+// fleet replays onto the respawn without re-sending a transmitted
+// packet, and the device queues are empty between packets, so the
+// recoverable path drops nothing.
+func (rg *rig) handler(sh *fleet.Shard[FlowPacket], batch []FlowPacket) error {
 	io := rg.ios[sh.ID]
-	for _, fp := range batch {
-		lane := fleet.FlowLane(fp.Flow, 2)
-		io.rx[lane] = append(io.rx[lane], fp.Pkt)
+	step := len(batch)
+	if rg.perPacket {
+		step = 1
 	}
-	// Drive kmain one iteration at a time (a fault costs at most the
-	// packets in flight) until the ingress queues are dry. The bound
-	// mirrors ServeSupervised: a healthy or degraded shard consumes
-	// at least one packet per iteration; only a machine the
-	// supervisor has given up on (dead instance, every call failing)
-	// exhausts it, and that is exactly the respawn case.
-	limit := io.calls + 4*len(batch) + 64
-	for io.remaining() > 0 {
-		if io.calls >= limit {
-			return fmt.Errorf("no progress after %d kmain calls (%d packets stuck)",
-				limit, io.remaining())
+	for i := 0; i < len(batch); i += step {
+		if rg.killed() {
+			return errShardKilled
 		}
-		io.calls++
-		if _, err := sh.Sup.Call("main", "kmain", 1); err != nil {
-			io.faults++
+		for _, fp := range batch[i : i+step] {
+			lane := fleet.FlowLane(fp.Flow, 2)
+			io.rx[lane] = append(io.rx[lane], fp.Pkt)
 		}
+		if err := io.drain(sh.Sup, step); err != nil {
+			return err
+		}
+		sh.Ack(i + step)
+		rg.processed.Add(int64(step))
 	}
 	return nil
 }
 
-func (rg *serveRig) report(fl *fleet.Fleet[FlowPacket], closeErr error) *FleetReport {
-	rep := &FleetReport{Shards: len(rg.totals), Converged: closeErr == nil}
-	rep.Statuses = fl.Statuses()
-	rep.Metrics = fl.Report()
-	for id, sh := range fl.Shards() {
-		rg.retire(id)
-		rg.ios[id] = nil
-		st := rg.totals[id]
-		st.Respawns = sh.Respawns()
+// report closes the fleet and assembles the serving report; the error is
+// Close's (shard deaths), which the report also reflects as not
+// Converged.
+func (rg *rig) report() (*FleetReport, error) {
+	closeErr := rg.fl.Close()
+	rep := &FleetReport{
+		Shards:    len(rg.ios),
+		Converged: closeErr == nil,
+		Statuses:  rg.fl.Statuses(),
+		Metrics:   rg.fl.Report(),
+	}
+	for id, sh := range rg.fl.Shards() {
+		io := rg.ios[id]
+		st := ShardServeStats{
+			Rx:              io.stats.Rx[0] + io.stats.Rx[1],
+			Tx:              io.stats.Tx[0] + io.stats.Tx[1],
+			Dropped:         io.stats.Dropped,
+			Faults:          io.faults,
+			Calls:           io.calls,
+			OrderViolations: io.orderViolations,
+			Respawns:        sh.Respawns(),
+		}
 		for _, is := range rep.Statuses[id] {
 			st.Restarts += is.Restarts
 			st.Swaps += is.Swaps
@@ -346,7 +370,7 @@ func (rg *serveRig) report(fl *fleet.Fleet[FlowPacket], closeErr error) *FleetRe
 	if rep.Rx > 0 {
 		rep.Goodput = float64(rep.Tx+rep.Dropped) / float64(rep.Rx)
 	}
-	return rep
+	return rep, closeErr
 }
 
 // ServeFleet serves flow-structured traffic over a sharded router
@@ -357,21 +381,13 @@ func (rg *serveRig) report(fl *fleet.Fleet[FlowPacket], closeErr error) *FleetRe
 func ServeFleet(res *build.Result, spec FlowSpec, shards int, pol *supervise.Policy,
 	clk func(int) supervise.Clock, faultEvery int) (*FleetReport, error) {
 
-	rg, err := newServeRig(res, shards, faultEvery)
-	if err != nil {
-		return nil, err
-	}
-	fl, err := fleet.New[FlowPacket](res, fleet.Config{
-		Shards: shards,
-		Policy: pol,
-		Clock:  clk,
-		Setup:  rg.setup,
-	}, rg.handler)
+	rg, err := newRig(res, fleet.Config{Shards: shards, Policy: pol, Clock: clk}, faultEvery, 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, fp := range spec.Generate() {
-		fl.Submit(fp.Flow, fp)
+		rg.fl.Submit(fp.Flow, fp)
 	}
-	return rg.report(fl, fl.Close()), nil
+	rep, _ := rg.report()
+	return rep, nil
 }

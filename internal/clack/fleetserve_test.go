@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"knit/internal/knit/supervise"
+	"knit/internal/machine"
 )
 
 func fakeClocks(int) supervise.Clock { return supervise.NewFakeClock() }
@@ -167,5 +168,43 @@ func TestFlowTrafficGeneratorInvariants(t *testing.T) {
 	// Determinism: a second generation is byte-identical.
 	if !reflect.DeepEqual(pkts, spec.Generate()) {
 		t.Error("generator is not deterministic for a fixed spec")
+	}
+}
+
+// TestOrderOracleCountsInversionsAcrossShards shows the fleet-global
+// order oracle firing: two shards' __tx builtins share one oracle, and a
+// flow whose sequence goes backwards is a violation on the shard that
+// transmits it — including when the earlier, higher sequence left
+// through the other shard, as it does after a re-steer. A per-shard
+// ledger would miss those.
+func TestOrderOracleCountsInversionsAcrossShards(t *testing.T) {
+	oracle := newOrderOracle()
+	ios := [2]*shardIO{newShardIO(oracle), newShardIO(oracle)}
+	var ms [2]*machine.M
+	for i := range ms {
+		ms[i] = &machine.M{Builtins: map[string]machine.Builtin{}, Mem: make([]int64, PktWords)}
+		ios[i].install(ms[i])
+	}
+	tx := func(shard int, flow, seq int64) {
+		t.Helper()
+		m := ms[shard]
+		p := Packet{Kind: KindIP, TTL: 9}
+		p.Payload[payloadFlowWord], p.Payload[payloadSeqWord] = flow, seq
+		copy(m.Mem, p.words())
+		if _, err := m.Builtins["__tx"](m, []int64{0, 0}); err != nil {
+			t.Fatalf("__tx: %v", err)
+		}
+	}
+	tx(0, 7, 1)
+	tx(0, 7, 2)
+	tx(0, 7, 2) // repeated on its own shard
+	tx(1, 7, 3) // re-steered to shard 1, still ascending
+	tx(0, 7, 3) // back on shard 0 at a sequence shard 1 already sent
+	tx(1, 8, 5)
+	tx(0, 8, 4) // shard 0 never saw flow 8; shard 1 sent 5 first
+	tx(0, 9, 1) // an unrelated flow is unaffected
+	if ios[0].orderViolations != 3 || ios[1].orderViolations != 0 {
+		t.Fatalf("violations: shard 0 = %d, shard 1 = %d; want 3 and 0",
+			ios[0].orderViolations, ios[1].orderViolations)
 	}
 }

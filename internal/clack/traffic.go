@@ -122,27 +122,41 @@ type DeviceStats struct {
 func (s *DeviceStats) Forwardable() int { return s.Tx[0] + s.Tx[1] }
 
 // InstallDevices registers the NIC builtins (__rx_poll, __tx, __drop) on
-// m, feeding the given streams. Packets are delivered through two
-// per-device buffers placed at the top of simulated memory, well above
-// the stack region.
+// m, feeding the given streams.
 func InstallDevices(m *machine.M, streams [2][]Packet) *DeviceStats {
-	stats := &DeviceStats{}
-	next := [2]int{}
+	n := &nic{rx: streams}
+	n.install(m)
+	return &n.stats
+}
+
+// nic is the simulated device pair behind the NIC builtins: two ingress
+// queues, the statistics, and an optional hook that sees every
+// transmitted packet's words.
+type nic struct {
+	rx    [2][]Packet
+	head  [2]int
+	stats DeviceStats
+	onTx  func(pkt []int64)
+}
+
+// install registers the NIC builtins on m. Packets are delivered
+// through two per-device buffers placed at the top of simulated memory,
+// well above the stack region.
+func (n *nic) install(m *machine.M) {
 	bufAddr := func(dev int64) int64 {
-		return int64(len(m.Mem)) - int64(dev+1)*PktWords
+		return int64(len(m.Mem)) - (dev+1)*PktWords
 	}
 	m.RegisterBuiltin("__rx_poll", func(mm *machine.M, args []int64) (int64, error) {
 		dev := args[0]
 		if dev < 0 || dev > 1 {
 			return 0, fmt.Errorf("clack: rx on bad device %d", dev)
 		}
-		q := streams[dev]
-		if next[dev] >= len(q) {
+		if n.head[dev] >= len(n.rx[dev]) {
 			return 0, nil
 		}
-		p := q[next[dev]]
-		next[dev]++
-		stats.Rx[dev]++
+		p := n.rx[dev][n.head[dev]]
+		n.head[dev]++
+		n.stats.Rx[dev]++
 		addr := bufAddr(dev)
 		if err := mm.WriteWords(addr, p.words()); err != nil {
 			return 0, err
@@ -154,22 +168,35 @@ func InstallDevices(m *machine.M, streams [2][]Packet) *DeviceStats {
 		if dev < 0 || dev > 1 {
 			return 0, fmt.Errorf("clack: tx on bad device %d", dev)
 		}
-		stats.Tx[dev]++
+		n.stats.Tx[dev]++
 		kind := mm.Mem[addr]
 		ttl := mm.Mem[addr+1]
 		if kind == KindIP {
 			if ttl <= 0 {
-				stats.TxBad = append(stats.TxBad,
+				n.stats.TxBad = append(n.stats.TxBad,
 					fmt.Sprintf("tx dev%d: IP packet with ttl %d", dev, ttl))
 			} else {
-				stats.TxTTLOK++
+				n.stats.TxTTLOK++
 			}
+		}
+		if n.onTx != nil {
+			n.onTx(mm.Mem[addr : addr+PktWords])
 		}
 		return 0, nil
 	})
 	m.RegisterBuiltin("__drop", func(mm *machine.M, args []int64) (int64, error) {
-		stats.Dropped++
+		n.stats.Dropped++
 		return 0, nil
 	})
-	return stats
+}
+
+// remaining counts queued packets not yet polled.
+func (n *nic) remaining() int {
+	return (len(n.rx[0]) - n.head[0]) + (len(n.rx[1]) - n.head[1])
+}
+
+// rewind empties the ingress queues, keeping their storage.
+func (n *nic) rewind() {
+	n.rx[0], n.rx[1] = n.rx[0][:0], n.rx[1][:0]
+	n.head = [2]int{}
 }

@@ -8,6 +8,7 @@ import (
 	"knit/internal/knit/build"
 	"knit/internal/knit/fleet"
 	"knit/internal/knit/link"
+	"knit/internal/knit/observe"
 	"knit/internal/knit/reconfigure"
 	"knit/internal/knit/supervise"
 )
@@ -79,8 +80,8 @@ type UpgradeReport struct {
 
 // upgradeSLO gates a serving-mode canary. MinCalls is sized so a window
 // fills within a few observation ticks even on small CI runs.
-func upgradeSLO() reconfigure.SLO {
-	return reconfigure.SLO{MinCalls: 64, Windows: 4, PromoteAfter: 2}
+func upgradeSLO() observe.SLO {
+	return observe.SLO{MinCalls: 64, Windows: 4, PromoteAfter: 2}
 }
 
 // ServeFleetUpgrade serves spec's traffic over a sharded router fleet
@@ -105,31 +106,33 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 	if err != nil {
 		return nil, fmt.Errorf("clack: diff against %s: %w", unitName, err)
 	}
-
-	rg, err := newServeRig(res, shards, 0)
-	if err != nil {
-		return nil, err
-	}
-	fl, err := fleet.New[FlowPacket](res, fleet.Config{
-		Shards: shards,
-		Policy: pol,
-		Clock:  clk,
-		Setup:  rg.setup,
-	}, rg.handler)
+	rg, err := newRig(res, fleet.Config{Shards: shards, Policy: pol, Clock: clk}, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	if canaries < 1 {
 		canaries = 1
 	}
-	can, err := reconfigure.NewCanary(fl, plan, float64(canaries)/float64(shards), upgradeSLO())
-	if err != nil {
-		fl.Close()
+	rep := &UpgradeReport{Plan: plan.Summary()}
+	if err := serveUpgrade(rg.fl, plan, spec.Generate(), canaries, rep); err != nil {
+		rg.fl.Close()
 		return nil, err
 	}
+	rep.FleetReport, _ = rg.report()
+	return rep, nil
+}
 
-	rep := &UpgradeReport{Plan: plan.Summary(), Canaries: can.Canaries()}
-	pkts := spec.Generate()
+// serveUpgrade is ServeFleetUpgrade's traffic and canary schedule over a
+// running fleet; it fills rep's trial fields.
+func serveUpgrade(fl *fleet.Fleet[FlowPacket], plan *reconfigure.Plan, pkts []FlowPacket,
+	canaries int, rep *UpgradeReport) error {
+
+	shards := len(fl.Shards())
+	can, err := reconfigure.NewCanary(fl, plan, float64(canaries)/float64(shards), upgradeSLO())
+	if err != nil {
+		return err
+	}
+	rep.Canaries = can.Canaries()
 
 	// Phase 1: warm the fleet on the base configuration.
 	warm := len(pkts) / 3
@@ -141,8 +144,7 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 	// windows at a steady packet cadence.
 	start := time.Now()
 	if err := can.Start(); err != nil {
-		fl.Close()
-		return nil, fmt.Errorf("clack: canary start: %w", err)
+		return fmt.Errorf("clack: canary start: %w", err)
 	}
 	decision := reconfigure.Pending
 	act := func(d reconfigure.Decision, served int) error {
@@ -173,8 +175,7 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 			rep.ObserveRounds++
 			if d := can.Observe(); d != reconfigure.Pending {
 				if err := act(d, served); err != nil {
-					fl.Close()
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -186,17 +187,12 @@ func ServeFleetUpgrade(res *build.Result, spec FlowSpec, shards, canaries int, b
 		rep.ObserveRounds++
 		if d := can.Observe(); d != reconfigure.Pending {
 			if err := act(d, served); err != nil {
-				fl.Close()
-				return nil, err
+				return err
 			}
 		}
 	}
 	if decision == reconfigure.Pending {
-		if err := act(reconfigure.Rollback, served); err != nil {
-			fl.Close()
-			return nil, err
-		}
+		return act(reconfigure.Rollback, served)
 	}
-	rep.FleetReport = rg.report(fl, fl.Close())
-	return rep, nil
+	return nil
 }

@@ -16,10 +16,6 @@ import (
 // export symbols is redirected — machine.M.Interpose — to the freshly
 // loaded fallback, which is wired to the very same import providers.
 
-// FallbackUnit returns the name of the fallback unit declared for the
-// instance's unit, or "" when it has none.
-func FallbackUnit(inst *link.Instance) string { return inst.Unit.Fallback }
-
 // SwapFallback loads the fallback unit declared for failing and
 // redirects the failing instance's exports to it. The fallback must be
 // an atomic unit exporting the same bundles (same locals, same types)

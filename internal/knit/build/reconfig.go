@@ -6,7 +6,6 @@ import (
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 	"knit/internal/machine"
-	"knit/internal/obj"
 )
 
 // This file is the build layer's doorway for the live-reconfiguration
@@ -41,20 +40,6 @@ func (r *Result) LiveProgram(m *machine.M) *link.Program {
 		}
 	}
 	return live
-}
-
-// LoadedOn returns the dynamically loaded instances live on m, in load
-// order.
-func (r *Result) LoadedOn(m *machine.M) []*link.Instance {
-	st := r.stateOf(m)
-	return append([]*link.Instance(nil), st.loaded...)
-}
-
-// CompileInstance compiles one elaborated instance with the build's
-// compiler options — the same pipeline a static build or LoadDynamic
-// would run it through.
-func (r *Result) CompileInstance(inst *link.Instance) (*obj.File, error) {
-	return compileInstance(inst, r.copts)
 }
 
 // ParseUnitFiles parses unit-definition files in deterministic

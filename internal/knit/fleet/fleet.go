@@ -36,15 +36,18 @@ type Config struct {
 	Batch int
 	// Queue is the per-shard queue depth in batches (default 8). A full
 	// queue blocks Submit — backpressure, not drops. Producers that must
-	// not stall on one sick shard use TrySubmit / SubmitShardDeadline
-	// instead and shed on refusal (the overload layer's admission path).
+	// not stall on one sick shard use Offer instead and shed on refusal
+	// (the overload layer's admission path).
 	Queue int
 	// RedeliverAttempts is the in-flight batch redelivery policy applied
 	// when a handler failure kills a shard's machine: 0 (at-most-once,
 	// the default) drops the batch's unacked remainder with the dead
-	// machine; N > 0 replays the remainder onto the respawned machine up
-	// to N times before dropping it. Handlers report progress with
-	// Shard.Ack so a replay never re-serves completed items.
+	// machine; N > 0 replays the remainder onto the respawned machine
+	// until N consecutive replays die without acking an item, then drops
+	// it. A death after progress refunds the budget, so only a remainder
+	// that keeps failing at the same item (a poison item) is dropped.
+	// Handlers report progress with Shard.Ack so a replay never re-serves
+	// completed items.
 	RedeliverAttempts int
 	// Policy is the restart policy template; each shard gets its own
 	// decorrelated copy via Policy.ForShard. Default supervise.Default().
@@ -98,7 +101,7 @@ func (c Config) withDefaults() (Config, error) {
 type Handler[T any] func(sh *Shard[T], batch []T) error
 
 // Fleet is N shards of one build.Result behind a flow-hash balancer.
-// Submit/TrySubmit/Flush/Close are single-producer: one goroutine feeds
+// Submit/Offer/Exec/Flush/Close are single-producer: one goroutine feeds
 // the fleet. Report, Statuses, and the per-shard accessors are valid
 // after Close returns; the atomic health accessors (Served, Dropped,
 // Respawns, Completed, HealthSample, QueueDepth) may additionally be
@@ -267,7 +270,10 @@ func (sh *Shard[T]) run() {
 // still queued (which is what preserves per-flow order: later items of
 // the same flow are behind this batch in the shard's FIFO).
 func (sh *Shard[T]) serveBatch(batch []T) {
-	for attempt := 0; ; attempt++ {
+	// fruitless counts consecutive replays that died without acking an
+	// item; any progress resets it.
+	fruitless := 0
+	for {
 		sh.acked = 0
 		err := sh.fl.handle(sh, batch)
 		if err == nil {
@@ -287,10 +293,14 @@ func (sh *Shard[T]) serveBatch(batch []T) {
 		if len(batch) == 0 {
 			return
 		}
-		if attempt >= sh.fl.cfg.RedeliverAttempts {
+		if sh.acked > 0 {
+			fruitless = 0
+		}
+		if fruitless >= sh.fl.cfg.RedeliverAttempts {
 			sh.dropped.Add(uint64(len(batch)))
 			return
 		}
+		fruitless++
 		sh.redeliv.Add(uint64(len(batch)))
 	}
 }
@@ -350,46 +360,32 @@ func (sh *Shard[T]) respawn() {
 // the same shard, preserving per-flow order; the item rides in the
 // shard's current batch and is handed off when the batch fills (or at
 // Flush). Submit blocks when the target shard's queue is full —
-// backpressure for closed-loop producers; open-loop producers use
-// TrySubmit and shed instead. After Close it returns ErrClosed and the
-// attempt is counted in ShedAfterClose (it used to panic).
+// backpressure for closed-loop producers; open-loop producers use Offer
+// and shed instead. After Close it returns ErrClosed and the attempt is
+// counted in ShedAfterClose.
 func (fl *Fleet[T]) Submit(flow uint64, item T) error {
-	return fl.SubmitShard(FlowShard(flow, fl.cfg.Shards), item)
-}
-
-// SubmitShard is Submit with the shard chosen by the caller — the door
-// the overload layer's re-steering table walks through to move a flow
-// off its sick home shard. Choosing shards by anything other than a
-// stable function of the flow key forfeits per-flow ordering unless the
-// caller provides its own drain barrier, as the re-steerer does.
-func (fl *Fleet[T]) SubmitShard(id int, item T) error {
 	if fl.closed {
 		fl.shedClosed++
 		return ErrClosed
 	}
-	if id < 0 || id >= len(fl.shards) {
-		return fmt.Errorf("fleet: submit to unknown shard %d", id)
-	}
+	id := FlowShard(flow, len(fl.shards))
 	fl.pending[id] = append(fl.pending[id], item)
 	if len(fl.pending[id]) >= fl.cfg.Batch {
-		fl.shards[id].in <- envelope[T]{batch: fl.pending[id]}
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
+		fl.flush(id, forever)
 	}
 	return nil
 }
 
-// TrySubmit is the non-blocking Submit: it never stalls the producer,
-// not even when the target shard is sick with a full queue (the
-// head-of-line scenario that motivates the overload layer). It refuses
-// — returning false with the fleet untouched — exactly when admitting
-// the item would need a queue slot the shard cannot give right now.
-func (fl *Fleet[T]) TrySubmit(flow uint64, item T) bool {
-	return fl.TrySubmitShard(FlowShard(flow, fl.cfg.Shards), item)
-}
-
-// TrySubmitShard is TrySubmit with the shard chosen by the caller.
-func (fl *Fleet[T]) TrySubmitShard(id int, item T) bool {
+// Offer admits one item to a caller-chosen shard without unbounded
+// blocking — the overload layer's admission and re-steering door. When
+// the item completes a batch and the shard's queue has no slot, Offer
+// waits for one until deadline; a zero or past deadline never waits.
+// It refuses — false, fleet untouched — when the slot does not come,
+// the shard does not exist, or the fleet is closed (counted in
+// ShedAfterClose). Choosing shards by anything other than FlowShard
+// forfeits per-flow ordering unless the caller provides its own drain
+// barrier, as the re-steerer does.
+func (fl *Fleet[T]) Offer(id int, item T, deadline time.Time) bool {
 	if fl.closed {
 		fl.shedClosed++
 		return false
@@ -397,46 +393,53 @@ func (fl *Fleet[T]) TrySubmitShard(id int, item T) bool {
 	if id < 0 || id >= len(fl.shards) {
 		return false
 	}
-	p := fl.pending[id]
-	if len(p)+1 < fl.cfg.Batch {
-		fl.pending[id] = append(p, item)
+	// The pending slice has capacity Batch, so a refused hand-off leaves
+	// fl.pending[id] exactly as it was.
+	p := append(fl.pending[id], item)
+	if len(p) < fl.cfg.Batch {
+		fl.pending[id] = p
 		return true
 	}
-	select {
-	case fl.shards[id].in <- envelope[T]{batch: append(p, item)}:
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-		return true
-	default:
-		return false
-	}
+	return fl.handOff(id, envelope[T]{batch: p}, max(time.Until(deadline), 0))
 }
 
-// SubmitShardDeadline admits like TrySubmitShard but, when the hand-off
-// would block, waits for a queue slot until the deadline instead of
-// refusing immediately — the budgeted middle ground between Submit's
-// unbounded backpressure and TrySubmit's instant shed.
-func (fl *Fleet[T]) SubmitShardDeadline(id int, item T, deadline time.Time) bool {
-	if fl.TrySubmitShard(id, item) {
-		return true
+// forever is handOff's wait for the blocking entry points.
+const forever time.Duration = -1
+
+// handOff is the fleet's only send on a shard queue. It waits up to wait
+// for a slot (forever when negative, not at all when zero) and reports
+// whether env was enqueued; a sent batch starts the shard's next pending
+// batch.
+func (fl *Fleet[T]) handOff(id int, env envelope[T], wait time.Duration) bool {
+	q := fl.shards[id].in
+	if wait < 0 {
+		q <- env
+	} else {
+		select {
+		case q <- env:
+		default:
+			if wait == 0 {
+				return false
+			}
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			select {
+			case q <- env:
+			case <-t.C:
+				return false
+			}
+		}
 	}
-	if fl.closed || id < 0 || id >= len(fl.shards) {
-		return false
-	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return false
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case fl.shards[id].in <- envelope[T]{batch: append(fl.pending[id], item)}:
-		fl.enq[id]++
+	fl.enq[id]++
+	if env.ctrl == nil {
 		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-		return true
-	case <-t.C:
-		return false
 	}
+	return true
+}
+
+// flush hands off shard id's partial batch, if any, within wait.
+func (fl *Fleet[T]) flush(id int, wait time.Duration) bool {
+	return len(fl.pending[id]) == 0 || fl.handOff(id, envelope[T]{batch: fl.pending[id]}, wait)
 }
 
 // Exec runs fn on shard id's goroutine, after everything already queued
@@ -454,14 +457,9 @@ func (fl *Fleet[T]) Exec(id int, fn func(*Shard[T]) error) error {
 	}
 	// Flush the shard's partial batch first so fn observes (and follows)
 	// all traffic submitted before it.
-	if len(fl.pending[id]) > 0 {
-		fl.shards[id].in <- envelope[T]{batch: fl.pending[id]}
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-	}
+	fl.flush(id, forever)
 	reply := make(chan error, 1)
-	fl.shards[id].in <- envelope[T]{ctrl: fn, reply: reply}
-	fl.enq[id]++
+	fl.handOff(id, envelope[T]{ctrl: fn, reply: reply}, forever)
 	return <-reply
 }
 
@@ -474,16 +472,8 @@ func (fl *Fleet[T]) Exec(id int, fn func(*Shard[T]) error) error {
 // queues may be full — exactly when a blocking Exec would stall the
 // producer behind the congestion it is trying to relieve.
 func (fl *Fleet[T]) TryExec(id int, fn func(*Shard[T]) error) bool {
-	if fl.closed || id < 0 || id >= len(fl.shards) {
-		return false
-	}
-	select {
-	case fl.shards[id].in <- envelope[T]{ctrl: fn}:
-		fl.enq[id]++
-		return true
-	default:
-		return false
-	}
+	return !fl.closed && id >= 0 && id < len(fl.shards) &&
+		fl.handOff(id, envelope[T]{ctrl: fn}, 0)
 }
 
 // ShardPolicy returns the restart policy shard id was booted with — the
@@ -493,17 +483,9 @@ func (fl *Fleet[T]) ShardPolicy(id int) *supervise.Policy {
 	return fl.cfg.Policy.ForShard(id)
 }
 
-// Batch returns the configured batch size.
-func (fl *Fleet[T]) Batch() int { return fl.cfg.Batch }
-
 // QueueDepth is how many envelopes sit unprocessed in shard id's queue
-// right now; QueueCap is the queue's capacity. Both are safe live.
+// right now. Safe live.
 func (fl *Fleet[T]) QueueDepth(id int) int { return len(fl.shards[id].in) }
-func (fl *Fleet[T]) QueueCap(id int) int   { return cap(fl.shards[id].in) }
-
-// PendingLen is how many items wait in shard id's partial batch.
-// Producer-side state: producer goroutine only.
-func (fl *Fleet[T]) PendingLen(id int) int { return len(fl.pending[id]) }
 
 // Pressure is shard id's queue occupancy in [0, 1]: queued envelopes
 // plus the partial batch's fill fraction, over the queue capacity. The
@@ -535,21 +517,7 @@ func (fl *Fleet[T]) ShedAfterClose() uint64 { return fl.shedClosed }
 // uses it to start a drain barrier without stalling behind the very
 // congestion it is routing around.
 func (fl *Fleet[T]) TryFlushShard(id int) bool {
-	if fl.closed || id < 0 || id >= len(fl.shards) {
-		return false
-	}
-	p := fl.pending[id]
-	if len(p) == 0 {
-		return true
-	}
-	select {
-	case fl.shards[id].in <- envelope[T]{batch: p}:
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
-		return true
-	default:
-		return false
-	}
+	return !fl.closed && id >= 0 && id < len(fl.shards) && fl.flush(id, 0)
 }
 
 // Flush hands off every partial batch. No-op after Close (Close already
@@ -558,13 +526,8 @@ func (fl *Fleet[T]) Flush() {
 	if fl.closed {
 		return
 	}
-	for id, batch := range fl.pending {
-		if len(batch) == 0 {
-			continue
-		}
-		fl.shards[id].in <- envelope[T]{batch: batch}
-		fl.enq[id]++
-		fl.pending[id] = make([]T, 0, fl.cfg.Batch)
+	for id := range fl.pending {
+		fl.flush(id, forever)
 	}
 }
 

@@ -38,22 +38,22 @@ func TestFleetCloseIdempotentAndSubmitAfterClose(t *testing.T) {
 	if err := fl.Submit(1, 9); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if fl.TrySubmit(1, 9) {
-		t.Fatal("TrySubmit after Close must refuse")
+	if fl.Offer(1, 9, time.Time{}) {
+		t.Fatal("Offer after Close must refuse")
 	}
-	if fl.SubmitShardDeadline(0, 9, time.Now().Add(time.Second)) {
-		t.Fatal("SubmitShardDeadline after Close must refuse")
+	if fl.Offer(0, 9, time.Now().Add(time.Second)) {
+		t.Fatal("Offer with a deadline after Close must refuse")
 	}
 	if got := fl.ShedAfterClose(); got != 3 {
 		t.Fatalf("ShedAfterClose = %d, want 3", got)
 	}
 }
 
-// TestFleetTrySubmitBackpressure pins TrySubmit's refusal semantics: a
-// full shard queue refuses admission without blocking the producer and
-// without disturbing fleet state, and admission resumes once the shard
-// drains.
-func TestFleetTrySubmitBackpressure(t *testing.T) {
+// TestFleetOfferBackpressure pins Offer's refusal semantics: a full
+// shard queue refuses admission without blocking the producer and
+// without disturbing fleet state, a deadline bounds the wait for a slot,
+// and admission resumes once the shard drains.
+func TestFleetOfferBackpressure(t *testing.T) {
 	res := buildCounter(t)
 	gate := make(chan struct{})
 	var gated atomic.Bool
@@ -75,7 +75,7 @@ func TestFleetTrySubmitBackpressure(t *testing.T) {
 	}
 
 	// First item: picked up by the shard, which parks in the handler.
-	if !fl.TrySubmitShard(0, 1) {
+	if !fl.Offer(0, 1, time.Time{}) {
 		t.Fatal("first admission must succeed")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -84,19 +84,19 @@ func TestFleetTrySubmitBackpressure(t *testing.T) {
 	}
 	// Second: occupies the single queue slot. Third must be refused —
 	// the shard is parked, the queue full, and the producer never blocks.
-	if !fl.TrySubmitShard(0, 2) {
+	if !fl.Offer(0, 2, time.Time{}) {
 		t.Fatal("second item should take the queue slot")
 	}
-	if fl.TrySubmitShard(0, 3) {
+	if fl.Offer(0, 3, time.Time{}) {
 		t.Fatal("third item must be refused: shard parked, queue full")
 	}
-	if fl.SubmitShardDeadline(0, 3, time.Now().Add(10*time.Millisecond)) {
+	if fl.Offer(0, 3, time.Now().Add(10*time.Millisecond)) {
 		t.Fatal("deadline submit must expire against a parked shard")
 	}
 
 	gated.Store(false)
 	close(gate)
-	if !fl.SubmitShardDeadline(0, 3, time.Now().Add(2*time.Second)) {
+	if !fl.Offer(0, 3, time.Now().Add(2*time.Second)) {
 		t.Fatal("deadline submit must succeed once the shard drains")
 	}
 	if err := fl.Close(); err != nil {
@@ -144,8 +144,8 @@ func TestFleetRedeliveryResumesAtAck(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for _, x := range []int64{7, poison, 5} {
-		if err := fl.SubmitShard(0, x); err != nil {
-			t.Fatalf("SubmitShard: %v", err)
+		if err := fl.Submit(0, x); err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
 	}
 	if err := fl.Close(); err == nil {
@@ -184,14 +184,45 @@ func TestFleetRedeliveryGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fl.SubmitShard(0, 7)
-	fl.SubmitShard(0, poison)
+	fl.Submit(0, 7)
+	fl.Submit(0, poison)
 	if err := fl.Close(); err == nil {
 		t.Fatal("Close: want poisoned-attempt errors, got nil")
 	}
 	sh := fl.Shards()[0]
 	if sh.Served() != 1 || sh.Dropped() != 1 || sh.Redelivered() != 1 || sh.Respawns() != 2 {
 		t.Fatalf("served=%d dropped=%d redelivered=%d respawns=%d, want 1/1/1/2",
+			sh.Served(), sh.Dropped(), sh.Redelivered(), sh.Respawns())
+	}
+}
+
+// TestFleetRedeliveryBudgetCountsOnlyFruitlessDeaths: a batch that dies
+// once per item but acks an item before every death keeps making
+// progress, so no death spends the one-attempt budget and the whole
+// batch is served. Only consecutive deaths without an ack (the poison
+// case in TestFleetRedeliveryGivesUp) exhaust it.
+func TestFleetRedeliveryBudgetCountsOnlyFruitlessDeaths(t *testing.T) {
+	res := buildCounter(t)
+	handler := func(sh *Shard[int64], batch []int64) error {
+		if _, err := sh.Sup.Call("main", "work", batch[0]); err != nil {
+			return err
+		}
+		sh.Ack(1)
+		return errBatchPoisoned
+	}
+	fl, err := New[int64](res, Config{Shards: 1, Batch: 4, RedeliverAttempts: 1}, handler)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for x := int64(1); x <= 4; x++ {
+		fl.Submit(0, x)
+	}
+	if err := fl.Close(); err == nil {
+		t.Fatal("Close: want the killed attempts' errors, got nil")
+	}
+	sh := fl.Shards()[0]
+	if sh.Served() != 4 || sh.Dropped() != 0 || sh.Redelivered() != 3+2+1 || sh.Respawns() != 4 {
+		t.Fatalf("served=%d dropped=%d redelivered=%d respawns=%d, want 4/0/6/4",
 			sh.Served(), sh.Dropped(), sh.Redelivered(), sh.Respawns())
 	}
 }
@@ -212,8 +243,8 @@ func TestFleetHealthSample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fl.SubmitShard(0, 1)
-	fl.SubmitShard(0, 2)
+	fl.Submit(0, 1)
+	fl.Submit(0, 2)
 	deadline := time.Now().Add(2 * time.Second)
 	for fl.Shards()[0].HealthSample().Calls < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -9,13 +9,6 @@ import (
 	"knit/internal/knit/observe"
 )
 
-// SLO gates a canary trial: the canary shards' windowed trap rate and
-// cycle tail are judged against the stable shards' over the same
-// interval. It is the shared observe.SLO judge — the same
-// implementation the overload layer's circuit breakers trip on — with
-// the canaries as candidate and the stable shards as baseline.
-type SLO = observe.SLO
-
 // Decision is a canary judgment.
 type Decision int
 
@@ -51,7 +44,7 @@ func (d Decision) String() string {
 type Canary[T any] struct {
 	fl   *fleet.Fleet[T]
 	plan *Plan
-	slo  SLO
+	slo  observe.SLO
 
 	canaries []int
 	stables  []int
@@ -71,8 +64,12 @@ type Canary[T any] struct {
 
 // NewCanary plans a trial of plan on fraction of fl's shards (at least
 // one canary, at least one stable shard — fleets of one shard cannot
-// canary; upgrade them directly with Plan.Apply).
-func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo SLO) (*Canary[T], error) {
+// canary; upgrade them directly with Plan.Apply). slo gates the trial:
+// the canary shards' windowed trap rate and cycle tail are judged
+// against the stable shards' over the same interval — the same judge
+// the overload layer's circuit breakers trip on, with the canaries as
+// candidate and the stable shards as baseline.
+func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo observe.SLO) (*Canary[T], error) {
 	n := len(fl.Shards())
 	if n < 2 {
 		return nil, fmt.Errorf("reconfigure: canary needs >= 2 shards, fleet has %d", n)
@@ -104,10 +101,6 @@ func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo SLO)
 
 // Canaries returns the shard IDs under trial.
 func (c *Canary[T]) Canaries() []int { return append([]int(nil), c.canaries...) }
-
-// AppliedOn returns the plan's footprint on one shard (nil if the plan
-// never applied there).
-func (c *Canary[T]) AppliedOn(id int) *Applied { return c.applied[id] }
 
 // Start applies the plan to the canary shards and re-bases every
 // shard's SLO window at this instant, so judgment sees only
@@ -209,7 +202,7 @@ func (c *Canary[T]) Promote() error {
 			return nil
 		})
 		if err != nil {
-			c.rollbackAll()
+			c.rollbackCanaries()
 			c.done = true
 			return fmt.Errorf("reconfigure: promote to shard %d: %w", id, err)
 		}
@@ -242,6 +235,8 @@ func (c *Canary[T]) Rollback() error {
 // pre-apply snapshot word for word).
 func (c *Canary[T]) RollbackVerified() error { return errors.Join(c.verifyErrs...) }
 
+// rollbackCanaries restores every shard the plan was applied to: the
+// canaries, plus any stable shard a failed Promote already reached.
 func (c *Canary[T]) rollbackCanaries() {
 	ids := make([]int, 0, len(c.applied))
 	for id := range c.applied {
@@ -262,5 +257,3 @@ func (c *Canary[T]) rollbackCanaries() {
 		})
 	}
 }
-
-func (c *Canary[T]) rollbackAll() { c.rollbackCanaries() }

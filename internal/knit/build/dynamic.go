@@ -2,6 +2,7 @@ package build
 
 import (
 	"fmt"
+	"slices"
 
 	"knit/internal/knit/constraint"
 	"knit/internal/knit/lang"
@@ -36,8 +37,10 @@ type DynamicUnit struct {
 type LoadedUnit struct {
 	Instance *link.Instance
 
-	res     *Result
 	modName string // machine-level module name, e.g. "dynamic/MonitorU#4"
+	// anchors are the symbols Replace interposed onto this module; the
+	// ones still routing into it are what Release drops.
+	anchors []string
 }
 
 // Name returns the module's machine-level name (unique per live module
@@ -63,8 +66,6 @@ func (lu *LoadedUnit) ExportSymbol(bundle, sym string) (string, error) {
 // rejected module leaves zero residue. A loaded module lives until
 // LoadedUnit.Unload (or machine reset); its finalizers run at unload.
 func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) {
-	st := r.stateOf(m)
-
 	files, err := parseUnitFiles(du.UnitFiles)
 	if err != nil {
 		return nil, err
@@ -74,27 +75,10 @@ func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) 
 		return nil, err
 	}
 
-	// The elaboration base is the static program plus this machine's
-	// previously loaded modules: their instances (so fresh instance IDs
-	// stay unique) and their exports (so modules can wire to modules).
-	// Cloned, not aliased: appending onto the shared r.Program.Instances
-	// backing array would race across machines loading concurrently.
-	base := &link.Program{
-		Registry:  reg,
-		Top:       r.Program.Top,
-		Instances: append([]*link.Instance(nil), r.Program.Instances...),
-		Exports:   map[string]*link.Wire{},
-	}
-	for name, w := range r.Program.Exports {
-		base.Exports[name] = w
-	}
-	for _, prev := range st.loaded {
-		base.Instances = append(base.Instances, prev)
-		for name, w := range link.DynamicExports(prev) {
-			base.Exports[name] = w
-		}
-	}
-
+	// The elaboration base is the live program: its instances keep fresh
+	// instance IDs unique, its exports let modules wire to modules.
+	base := r.LiveProgram(m)
+	base.Registry = reg
 	inst, err := link.ElaborateDynamic(reg, base, du.Unit, du.Sources, du.Wiring)
 	if err != nil {
 		return nil, err
@@ -103,52 +87,12 @@ func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) 
 	// Constraint check over the whole live configuration, before any of
 	// the module's code is compiled or loaded.
 	if du.Check {
-		combined := &link.Program{
-			Registry:  reg,
-			Top:       base.Top,
-			Instances: append(append([]*link.Instance{}, base.Instances...), inst),
-			Exports:   base.Exports,
-		}
-		if _, err := constraint.Check(combined); err != nil {
+		base.Instances = append(base.Instances, inst)
+		if _, err := constraint.Check(base); err != nil {
 			return nil, fmt.Errorf("knit: dynamic unit %s rejected: %w", du.Unit, err)
 		}
 	}
-
-	o, err := compileInstance(inst, r.copts)
-	if err != nil {
-		return nil, err
-	}
-	// The module name and attribution carry the instance ID so repeated
-	// loads of the same unit stay distinguishable.
-	modName := fmt.Sprintf("%s#%d", inst.Path, inst.ID)
-	snap := m.Snapshot()
-	if err := m.LoadDynamicAs(modName, modName, o); err != nil {
-		return nil, err
-	}
-	// A failed dynamic initializer rolls the machine back to its
-	// pre-load snapshot: the module's code, data, and symbols vanish
-	// along with any partial initialization.
-	for _, ini := range inst.Inits {
-		if ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		r.event(m, modName, "init")
-		if err != nil {
-			m.Restore(snap)
-			return nil, &LifecycleError{
-				Op:         "dynamic-init",
-				Unit:       modName,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
-	}
-
-	st.loaded = append(st.loaded, inst)
-	return &LoadedUnit{Instance: inst, res: r, modName: modName}, nil
+	return r.load(m, inst, "dynamic-init")
 }
 
 // Unload reverses a LoadDynamic on m: it verifies that no still-live
@@ -160,24 +104,13 @@ func (r *Result) LoadDynamic(m *machine.M, du DynamicUnit) (*LoadedUnit, error) 
 // restored to its pre-unload state, the module stays loaded, and the
 // returned *LifecycleError names the failing finalizer.
 func (lu *LoadedUnit) Unload(m *machine.M) error {
-	r := lu.res
-	if r == nil {
-		return fmt.Errorf("knit: unload: module handle was not produced by LoadDynamic")
-	}
-	st := r.stateOf(m)
-	idx := -1
-	for i, inst := range st.loaded {
-		if inst == lu.Instance {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	live := liveModules(m)
+	if !slices.Contains(live, lu.Instance) {
 		return fmt.Errorf("knit: unload %s: module is not loaded on this machine", lu.modName)
 	}
 	// Liveness re-check at the dynamic boundary: a module whose exports
 	// are wired into a still-live importer must stay.
-	for _, other := range st.loaded {
+	for _, other := range live {
 		if other == lu.Instance {
 			continue
 		}
@@ -196,7 +129,7 @@ func (lu *LoadedUnit) Unload(m *machine.M) error {
 			continue
 		}
 		_, err := m.Run(ini.GlobalName)
-		r.event(m, lu.modName, "fini")
+		event(m, lu.modName, "fini")
 		if err != nil {
 			m.Restore(snap)
 			return &LifecycleError{
@@ -213,8 +146,7 @@ func (lu *LoadedUnit) Unload(m *machine.M) error {
 		m.Restore(snap)
 		return err
 	}
-	st.loaded = append(st.loaded[:idx], st.loaded[idx+1:]...)
-	r.event(m, lu.modName, "unload")
+	event(m, lu.modName, "unload")
 	return nil
 }
 

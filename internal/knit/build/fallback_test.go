@@ -182,8 +182,8 @@ func TestSwapFallbackRedirectsCallers(t *testing.T) {
 	if got := runExport(t, res, m, "c", "get"); got != 211 {
 		t.Errorf("c.get after second swap = %d, want 211", got)
 	}
-	if err := lu.ReleaseSuperseded(m); err != nil {
-		t.Fatalf("ReleaseSuperseded: %v", err)
+	if err := lu.Release(m); err != nil {
+		t.Fatalf("Release: %v", err)
 	}
 	if got := runExport(t, res, m, "c", "get"); got != 211 {
 		t.Errorf("c.get after release = %d, want 211", got)

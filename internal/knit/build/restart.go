@@ -23,7 +23,7 @@ func (r *Result) InstanceByPath(m *machine.M, path string) *link.Instance {
 			return inst
 		}
 	}
-	for _, inst := range r.stateOf(m).loaded {
+	for _, inst := range liveModules(m) {
 		if inst.Path == path {
 			return inst
 		}
@@ -46,25 +46,10 @@ func (r *Result) InstanceByPath(m *machine.M, path string) *link.Instance {
 func (r *Result) RestartInstance(m *machine.M, inst *link.Instance) error {
 	snap := m.Snapshot()
 	m.ResetData(link.InstanceSymbols(inst))
-	for _, ini := range inst.Inits {
-		if ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		r.event(m, inst.Path, "init")
-		if err != nil {
-			m.Restore(snap)
-			return &LifecycleError{
-				Op:         "restart",
-				Unit:       inst.Path,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
+	if err := runInits(m, inst, inst.Path, "restart", snap); err != nil {
+		return err
 	}
-	r.event(m, inst.Path, "restart")
+	event(m, inst.Path, "restart")
 	return nil
 }
 
@@ -82,7 +67,7 @@ func (r *Result) RestartScope(m *machine.M, scope string) error {
 		}
 	}
 	var dynInScope []*link.Instance
-	for _, inst := range r.stateOf(m).loaded {
+	for _, inst := range liveModules(m) {
 		if sched.ScopeContains(scope, inst.Path) {
 			dynInScope = append(dynInScope, inst)
 		}
@@ -94,43 +79,29 @@ func (r *Result) RestartScope(m *machine.M, scope string) error {
 	for _, inst := range inScope {
 		m.ResetData(link.InstanceSymbols(inst))
 	}
-	fail := func(step sched.Step, err error) error {
-		m.Restore(snap)
-		return &LifecycleError{
-			Op:         "restart",
-			Unit:       step.Instance,
-			Func:       step.Func,
-			Global:     step.Global,
-			Err:        err,
-			RolledBack: true,
-		}
-	}
 	for _, i := range r.Schedule.InitsForScope(scope) {
 		_, err := m.Run(r.Schedule.Inits[i])
-		r.event(m, r.Schedule.InitSteps[i].Instance, "init")
+		step := r.Schedule.InitSteps[i]
+		event(m, step.Instance, "init")
 		if err != nil {
-			return fail(r.Schedule.InitSteps[i], err)
-		}
-	}
-	for _, inst := range dynInScope {
-		for _, ini := range inst.Inits {
-			if ini.Finalizer {
-				continue
-			}
-			_, err := m.Run(ini.GlobalName)
-			r.event(m, inst.Path, "init")
-			if err != nil {
-				return fail(sched.Step{
-					Global: ini.GlobalName, Func: ini.Func, Instance: inst.Path, Bundle: ini.Bundle,
-				}, err)
+			m.Restore(snap)
+			return &LifecycleError{
+				Op:         "restart",
+				Unit:       step.Instance,
+				Func:       step.Func,
+				Global:     step.Global,
+				Err:        err,
+				RolledBack: true,
 			}
 		}
 	}
-	for _, inst := range inScope {
-		r.event(m, inst.Path, "restart")
-	}
 	for _, inst := range dynInScope {
-		r.event(m, inst.Path, "restart")
+		if err := runInits(m, inst, inst.Path, "restart", snap); err != nil {
+			return err
+		}
+	}
+	for _, inst := range append(inScope, dynInScope...) {
+		event(m, inst.Path, "restart")
 	}
 	return nil
 }

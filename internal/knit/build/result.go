@@ -2,7 +2,6 @@ package build
 
 import (
 	"errors"
-	"sync"
 
 	"knit/internal/compile"
 	"knit/internal/knit/constraint"
@@ -39,9 +38,6 @@ type Result struct {
 	// fallback swaps can compile units that were not instantiated
 	// statically.
 	sources link.Sources
-
-	mu   sync.Mutex
-	mach map[*machine.M]*machState
 }
 
 // Observer receives build-layer lifecycle events for one machine:
@@ -55,24 +51,21 @@ type Observer interface {
 }
 
 // machState tracks what the driver has already done on one machine, so
-// Run initializes each machine exactly once and finalizes it once.
+// Run initializes each machine exactly once and finalizes it once. It
+// is kept on the machine (machine.M.Lifecycle), not on the Result, so a
+// dropped machine takes it along. Which dynamic modules are live is not
+// recorded here: the machine's module table is the only record.
 type machState struct {
 	initDone bool
 	finiDone bool
-	loaded   []*link.Instance // dynamically loaded units, in load order
 	obs      Observer
 }
 
-func (r *Result) stateOf(m *machine.M) *machState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.mach == nil {
-		r.mach = map[*machine.M]*machState{}
-	}
-	st, ok := r.mach[m]
-	if !ok {
+func stateOf(m *machine.M) *machState {
+	st, _ := m.Lifecycle.(*machState)
+	if st == nil {
 		st = &machState{}
-		r.mach[m] = st
+		m.Lifecycle = st
 	}
 	return st
 }
@@ -81,13 +74,13 @@ func (r *Result) stateOf(m *machine.M) *machState {
 // for one machine. Events fire on the goroutine performing the
 // lifecycle operation.
 func (r *Result) SetObserver(m *machine.M, obs Observer) {
-	r.stateOf(m).obs = obs
+	stateOf(m).obs = obs
 }
 
 // event reports one lifecycle step to the machine's observer, if any.
-func (r *Result) event(m *machine.M, instance, op string) {
-	if obs := r.stateOf(m).obs; obs != nil {
-		obs.LifecycleEvent(instance, op)
+func event(m *machine.M, instance, op string) {
+	if st, _ := m.Lifecycle.(*machState); st != nil && st.obs != nil {
+		st.obs.LifecycleEvent(instance, op)
 	}
 }
 
@@ -114,9 +107,7 @@ func (r *Result) PostInitSnapshot(setup func(*machine.M) error) (*machine.Snapsh
 	if err := r.RunInit(m); err != nil {
 		return nil, err
 	}
-	snap := m.Snapshot()
-	r.forget(m)
-	return snap, nil
+	return m.Snapshot(), nil
 }
 
 // NewMachineFrom creates a machine whose program state is restored from
@@ -129,17 +120,9 @@ func (r *Result) NewMachineFrom(snap *machine.Snapshot, initialized bool) *machi
 	m := machine.NewWith(r.Image, machine.Options{Backend: r.Backend})
 	m.Restore(snap)
 	if initialized {
-		r.stateOf(m).initDone = true
+		stateOf(m).initDone = true
 	}
 	return m
-}
-
-// forget drops the per-machine state entry for a discarded machine so
-// short-lived prototypes do not accumulate in the state map.
-func (r *Result) forget(m *machine.M) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.mach, m)
 }
 
 // Export resolves a top-level export bundle symbol to its global
@@ -162,14 +145,14 @@ func (r *Result) Export(bundle, sym string) (string, error) {
 // during the rollback. After the error, retrying RunInit is safe: it
 // starts again from a clean machine.
 func (r *Result) RunInit(m *machine.M) error {
-	st := r.stateOf(m)
+	st := stateOf(m)
 	if st.initDone {
 		return nil
 	}
 	snap := m.Snapshot()
 	for i, name := range r.Schedule.Inits {
 		_, err := m.Run(name)
-		r.event(m, r.Schedule.InitSteps[i].Instance, "init")
+		event(m, r.Schedule.InitSteps[i].Instance, "init")
 		if err == nil {
 			continue
 		}
@@ -185,7 +168,7 @@ func (r *Result) RunInit(m *machine.M) error {
 		// recently ready first, collecting (not masking) any failures.
 		for _, j := range r.Schedule.FinsReadyAfter(i) {
 			fin := r.Schedule.FinSteps[j]
-			r.event(m, fin.Instance, "fini")
+			event(m, fin.Instance, "fini")
 			if _, ferr := m.Run(fin.Global); ferr != nil {
 				lerr.RollbackErrs = append(lerr.RollbackErrs, &LifecycleError{
 					Op: "fini", Unit: fin.Instance, Func: fin.Func, Global: fin.Global, Err: ferr,
@@ -208,14 +191,14 @@ func (r *Result) RunInit(m *machine.M) error {
 // *LifecycleError (and the *machine.Trap inside it) instead of callers
 // string-matching a concatenated message.
 func (r *Result) RunFini(m *machine.M) error {
-	st := r.stateOf(m)
+	st := stateOf(m)
 	if st.finiDone {
 		return nil
 	}
 	var errs []error
 	for i, name := range r.Schedule.Fins {
 		_, err := m.Run(name)
-		r.event(m, r.Schedule.FinSteps[i].Instance, "fini")
+		event(m, r.Schedule.FinSteps[i].Instance, "fini")
 		if err == nil {
 			continue
 		}

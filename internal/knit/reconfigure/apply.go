@@ -28,10 +28,6 @@ type Applied struct {
 	// Anchors are the interposed symbols (redirect sources) this apply
 	// installed: the base globals every live caller still calls.
 	Anchors []string
-	// Retired are the previous apply's modules this one unloaded; a
-	// rollback must re-adopt them because restoring Snap resurrects
-	// them on the machine.
-	Retired []*build.LoadedUnit
 
 	rolledBack bool
 }
@@ -90,12 +86,6 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 	a.Snap = m.Snapshot()
 	fail := func(err error) (*Applied, error) {
 		m.Restore(a.Snap)
-		for _, lu := range a.mods {
-			res.ForgetModule(m, lu)
-		}
-		for _, lu := range a.Retired {
-			res.AdoptModule(m, lu)
-		}
 		return nil, err
 	}
 
@@ -104,7 +94,7 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 	// the next slot loads: a later initializer may read the changed slot
 	// through an unchanged intermediate (whose calls resolve via the
 	// redirect, not the env wiring), and must see the new code, not the
-	// old. Interpose re-points redirects whose target is the anchored
+	// old. Replace re-points redirects whose target is the anchored
 	// symbol, so a second upgrade overriding a first lands cleanly and
 	// frees the first's modules.
 	for i, c := range p.ordered {
@@ -117,18 +107,11 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 		if c.base == nil {
 			continue
 		}
-		repl := newLive[c.slot]
-		for _, local := range sortedKeys(c.base.ExportSyms) {
-			for _, sym := range sortedKeys(c.base.ExportSyms[local]) {
-				from := c.base.ExportSyms[local][sym]
-				to := repl.ExportSyms[local][sym]
-				if err := m.Interpose(from, to); err != nil {
-					return fail(fmt.Errorf("reconfigure: interpose %s: %w", c.slot, err))
-				}
-				a.Anchors = append(a.Anchors, from)
-			}
+		anchors, err := lu.Replace(m, c.base)
+		if err != nil {
+			return fail(fmt.Errorf("reconfigure: interpose %s: %w", c.slot, err))
 		}
-		res.Notify(m, c.base.Path, "swap")
+		a.Anchors = append(a.Anchors, anchors...)
 	}
 	for _, rw := range p.exportRewires {
 		ps := slotKey(rw.tgtWire.Provider.Path)
@@ -156,8 +139,8 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 	}
 
 	// Retire the superseded upgrade: drop its anchors that this plan did
-	// not re-anchor (Interpose has already re-pointed the shared ones),
-	// then unload its modules newest-first. Unpose must come first —
+	// not re-anchor (Replace has already re-pointed the shared ones),
+	// then release its modules newest-first. Unpose must come first —
 	// a module stays pinned while any redirect targets its code.
 	if prev != nil {
 		anchored := map[string]bool{}
@@ -171,10 +154,9 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 		}
 		for i := len(prev.mods) - 1; i >= 0; i-- {
 			lu := prev.mods[i]
-			if err := lu.Unload(m); err != nil {
+			if err := lu.Release(m); err != nil {
 				return fail(fmt.Errorf("reconfigure: retire %s: %w", lu.Name(), err))
 			}
-			a.Retired = append(a.Retired, lu)
 		}
 	}
 	// Statically linked instances that lost their wiring stay in the
@@ -186,25 +168,17 @@ func (p *Plan) Apply(m *machine.M, prev *Applied) (*Applied, error) {
 	return a, nil
 }
 
-// Rollback restores the machine to its pre-apply snapshot and squares
-// the build layer's books: the modules this apply loaded are forgotten,
-// the ones it retired are re-adopted (the snapshot resurrected them).
-// Idempotent.
+// Rollback restores the machine to its pre-apply snapshot: the modules
+// this apply loaded vanish and the ones it retired come back, in the
+// machine's module table and so in the build layer's view. Idempotent.
 func (a *Applied) Rollback() {
 	if a.rolledBack {
 		return
 	}
 	a.m.Restore(a.Snap)
-	res := a.plan.res
-	for _, lu := range a.mods {
-		res.ForgetModule(a.m, lu)
-	}
-	for _, lu := range a.Retired {
-		res.AdoptModule(a.m, lu)
-	}
 	for _, c := range a.plan.ordered {
 		if c.base != nil {
-			res.Notify(a.m, c.base.Path, "rollback")
+			a.plan.res.Notify(a.m, c.base.Path, "rollback")
 		}
 	}
 	a.rolledBack = true

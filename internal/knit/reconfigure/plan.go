@@ -185,7 +185,7 @@ func (p *Plan) classify() error {
 		case sameInstance(b, t):
 			p.unchanged = append(p.unchanged, slotChange{slot: s, base: b, tgt: t})
 		default:
-			if err := exportCompatible(b, t); err != nil {
+			if err := build.ExportCompatible(b, t); err != nil {
 				return fmt.Errorf("reconfigure: slot %s (%s -> %s): %w",
 					slotName(s, b), b.Unit.Name, t.Unit.Name, err)
 			}
@@ -328,34 +328,6 @@ func staleInit(inst *link.Instance, tainted map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// exportCompatible checks that t can take over b's callers: every export
-// bundle of b exists on t with the same bundle type and the same symbol
-// set. (The renamed globals may differ — interposition bridges those —
-// but a caller-visible symbol with no replacement would strand calls.)
-func exportCompatible(b, t *link.Instance) error {
-	for _, exp := range b.Unit.Exports {
-		var ttype string
-		for _, texp := range t.Unit.Exports {
-			if texp.Local == exp.Local {
-				ttype = texp.Type
-			}
-		}
-		if ttype == "" {
-			return fmt.Errorf("replacement drops export bundle %q", exp.Local)
-		}
-		if ttype != exp.Type {
-			return fmt.Errorf("replacement export %q has bundle type %s, base has %s",
-				exp.Local, ttype, exp.Type)
-		}
-		for sym := range b.ExportSyms[exp.Local] {
-			if _, ok := t.ExportSyms[exp.Local][sym]; !ok {
-				return fmt.Errorf("replacement export bundle %q drops symbol %q", exp.Local, sym)
-			}
-		}
-	}
-	return nil
 }
 
 // checkExports validates the target's top-level export surface against

@@ -42,12 +42,13 @@ func (s *Supervisor) DegradeAll() (int, error) {
 	return n, errors.Join(errs...)
 }
 
-// RestoreAll undoes brownout-initiated degradations: the original
-// instance's export symbols are un-interposed (callers route to the
-// primary again) and the fallback module is unloaded, finalizers and
-// all. Degradations the fault handler performed — including brownout
-// swaps that faulted while browned out — are NOT restored: a unit that
-// earned its fallback keeps it. Returns how many instances came back.
+// RestoreAll undoes brownout-initiated degradations: the fallback
+// module is released (LoadedUnit.Release), which un-interposes the
+// original instance's export symbols — callers route to the primary
+// again — and unloads the fallback, finalizers and all. Degradations
+// the fault handler performed — including brownout swaps that faulted
+// while browned out — are NOT restored: a unit that earned its
+// fallback keeps it. Returns how many instances came back.
 func (s *Supervisor) RestoreAll() (int, error) {
 	var errs []error
 	n := 0
@@ -62,15 +63,9 @@ func (s *Supervisor) RestoreAll() (int, error) {
 		if !st.brownout || st.state != Degraded || st.lu == nil || st.inst == nil {
 			continue
 		}
-		// Un-interpose first: the redirect keys are the original
-		// instance's export globals (the brownout swap started from
-		// Healthy, so the swapped-over instance was the original).
-		for _, syms := range st.inst.ExportSyms {
-			for _, global := range syms {
-				s.m.Unpose(global)
-			}
-		}
-		if err := st.lu.Unload(s.m); err != nil {
+		// The brownout swap started from Healthy, so the fallback's
+		// anchors are the original instance's export globals.
+		if err := st.lu.Release(s.m); err != nil {
 			// Finalizer failure: the fallback stays loaded but bypassed —
 			// the primary is serving again. Report it, keep going.
 			errs = append(errs, fmt.Errorf("restore %s: %w", st.path, err))

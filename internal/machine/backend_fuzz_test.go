@@ -101,7 +101,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 			switch {
 			case op <= 1:
 				step(i, "load", func(m *M) error {
-					return m.LoadDynamicAs(fuzzModName(tpl), "fuzz/"+fuzzModName(tpl), fuzzTemplate(tpl))
+					return m.LoadDynamicAs(fuzzModName(tpl), "fuzz/"+fuzzModName(tpl), fuzzTemplate(tpl), nil)
 				})
 			case op <= 3:
 				step(i, "unload", func(m *M) error { return m.UnloadDynamic(fuzzModName(tpl)) })

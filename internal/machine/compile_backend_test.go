@@ -495,7 +495,7 @@ func TestBackendDynamicParity(t *testing.T) {
 	}
 	load := func(tpl int) func(m *M) (int64, error) {
 		return func(m *M) (int64, error) {
-			return 0, m.LoadDynamicAs(fuzzModName(tpl), "", fuzzTemplate(tpl))
+			return 0, m.LoadDynamicAs(fuzzModName(tpl), "", fuzzTemplate(tpl), nil)
 		}
 	}
 	run := func(fn string, args ...int64) func(m *M) (int64, error) {

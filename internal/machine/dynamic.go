@@ -36,6 +36,7 @@ type dynState struct {
 type dynModule struct {
 	name     string
 	owner    string   // unit-instance attribution, may be ""
+	data     any      // the loader's opaque value (see LoadDynamicAs)
 	funcs    []string // defined function symbols
 	globals  []string // defined data symbols
 	refs     []string // external symbols this module's code/data references
@@ -95,7 +96,7 @@ func (d *dynState) module(name string) *dynModule {
 // LoadDynamic links an object file into the running machine under the
 // module name o.Name with no unit attribution. See LoadDynamicAs.
 func (m *M) LoadDynamic(o *obj.File) error {
-	return m.LoadDynamicAs(o.Name, "", o)
+	return m.LoadDynamicAs(o.Name, "", o, nil)
 }
 
 // LoadDynamicAs links an object file into the running machine as a
@@ -103,9 +104,12 @@ func (m *M) LoadDynamic(o *obj.File) error {
 // (image, earlier modules, or the module itself); function references
 // may also be satisfied by builtins at call time, like static calls.
 // owner, when non-empty, attributes the module's symbols to a unit
-// instance for trap reporting. Returns an error and loads nothing on
-// failure; a successful load can be reversed by UnloadDynamic(name).
-func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
+// instance for trap reporting. data is an opaque value the machine keeps
+// on the module's entry, and snapshots along with it, for the loading
+// layer to read back through DynModuleData. Returns an error and loads
+// nothing on failure; a successful load can be reversed by
+// UnloadDynamic(name).
+func (m *M) LoadDynamicAs(name, owner string, o *obj.File, data any) error {
 	if name == "" {
 		return &LoadError{Msg: "dynamic: module needs a name"}
 	}
@@ -226,6 +230,7 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File) error {
 	mod := &dynModule{
 		name:     name,
 		owner:    owner,
+		data:     data,
 		dataBase: dataBase,
 		dataEnd:  addr,
 		textBase: textStart,
@@ -422,6 +427,19 @@ func (m *M) DynModules() []string {
 	out := make([]string, len(m.dyn.modules))
 	for i, mod := range m.dyn.modules {
 		out[i] = mod.name
+	}
+	return out
+}
+
+// DynModuleData returns the data values the live dynamic modules were
+// loaded with, in load order (nil for a module loaded without one).
+func (m *M) DynModuleData() []any {
+	if m.dyn == nil {
+		return nil
+	}
+	out := make([]any, len(m.dyn.modules))
+	for i, mod := range m.dyn.modules {
+		out[i] = mod.data
 	}
 	return out
 }

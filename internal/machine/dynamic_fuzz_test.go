@@ -137,7 +137,7 @@ func FuzzDynamicLifecycle(f *testing.F) {
 			op, tpl := fuzzOp(b)
 			switch {
 			case op <= 2: // load
-				err := m.LoadDynamicAs(fuzzModName(tpl), "fuzz/"+fuzzModName(tpl), fuzzTemplate(tpl))
+				err := m.LoadDynamicAs(fuzzModName(tpl), "fuzz/"+fuzzModName(tpl), fuzzTemplate(tpl), nil)
 				wantOK := !live[tpl] && (tpl != 1 || live[0])
 				if wantOK != (err == nil) {
 					t.Fatalf("step %d: load %s: err=%v, model wanted ok=%v (live=%v)",

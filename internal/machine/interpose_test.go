@@ -168,7 +168,7 @@ func TestUnloadRefusedWhileInterposedOnto(t *testing.T) {
 	mod := obj.NewFile("mod")
 	mod.Funcs["dyn_alt"] = constFunc("dyn_alt", 2)
 	mod.AddSym(&obj.Symbol{Name: "dyn_alt", Kind: obj.SymFunc, Defined: true})
-	if err := m.LoadDynamicAs("mod", "Top/Alt#1", mod); err != nil {
+	if err := m.LoadDynamicAs("mod", "Top/Alt#1", mod, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Interpose("orig", "dyn_alt"); err != nil {

@@ -360,6 +360,12 @@ type M struct {
 	// hook fires after the operation has committed and must not run
 	// simulated code on m.
 	RewireHook func(op, sym, target string)
+	// Lifecycle is an opaque slot for the layer that drives this
+	// machine's component lifecycle: the build layer keeps there whether
+	// the init schedule and the finalizers have run, and its lifecycle
+	// observer, so that record lives and dies with the machine. The
+	// machine never reads it; Snapshot, Restore and Reset leave it alone.
+	Lifecycle any
 
 	sp         int64
 	stackLimit int64   // frames may not grow past this (dynamic data follows)

@@ -254,7 +254,7 @@ func TestSharedImageInterposeUnderLoad(t *testing.T) {
 				mod.AddSym(&obj.Symbol{Name: name, Kind: obj.SymFunc, Defined: true})
 				return mod
 			}
-			if err := m.LoadDynamicAs("v1", "v1", modFor("repl1", int64(1000+c))); err != nil {
+			if err := m.LoadDynamicAs("v1", "v1", modFor("repl1", int64(1000+c)), nil); err != nil {
 				t.Errorf("churn %d: load v1: %v", c, err)
 				return
 			}
@@ -268,7 +268,7 @@ func TestSharedImageInterposeUnderLoad(t *testing.T) {
 			}
 			// Second upgrade overrides the first; path compression must
 			// re-point the redirect so v1 unloads cleanly.
-			if err := m.LoadDynamicAs("v2", "v2", modFor("repl2", int64(2000+c))); err != nil {
+			if err := m.LoadDynamicAs("v2", "v2", modFor("repl2", int64(2000+c)), nil); err != nil {
 				t.Errorf("churn %d: load v2: %v", c, err)
 				return
 			}

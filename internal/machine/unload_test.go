@@ -168,3 +168,30 @@ func TestUnloadMiddleModuleLeavesZeroedHole(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestModuleDataFollowsSnapshots: the value a module was loaded with
+// lives on its module-table entry, so a Restore brings back exactly the
+// snapshot's modules' values and an unload drops the module's.
+func TestModuleDataFollowsSnapshots(t *testing.T) {
+	m := baseMachine(t)
+	if err := m.LoadDynamicAs("lo", "", constMod("lo", "lo_fn", "lo_g", 1), "lo-data"); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	if err := m.LoadDynamicAs("hi", "", constMod("hi", "hi_fn", "hi_g", 2), "hi-data"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DynModuleData(); len(got) != 2 || got[0] != "lo-data" || got[1] != "hi-data" {
+		t.Fatalf("module data = %v, want [lo-data hi-data]", got)
+	}
+	if err := m.UnloadDynamic("lo"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DynModuleData(); len(got) != 1 || got[0] != "hi-data" {
+		t.Fatalf("module data after unload = %v, want [hi-data]", got)
+	}
+	m.Restore(snap)
+	if got := m.DynModuleData(); len(got) != 1 || got[0] != "lo-data" {
+		t.Fatalf("module data after restore = %v, want [lo-data]", got)
+	}
+}

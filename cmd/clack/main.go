@@ -213,12 +213,9 @@ func runOverload(shards, packets int, multiple float64, killEvery int, backend m
 	baseline := runtime.NumGoroutine()
 	rep, err := clack.ServeOverload(res, clack.OverloadSpec{
 		Packets:   packets,
-		Flows:     64,
 		Shards:    shards,
 		Multiple:  multiple,
 		KillEvery: killEvery,
-		Redeliver: 3,
-		Seed:      1,
 	})
 	if err != nil {
 		fail(err)

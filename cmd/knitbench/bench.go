@@ -109,12 +109,9 @@ func measureOverload(packets int, backend machine.Backend) *OverloadBench {
 	res.Backend = backend
 	rep, err := clack.ServeOverload(res, clack.OverloadSpec{
 		Packets:   packets,
-		Flows:     64,
 		Shards:    3,
 		Multiple:  3,
 		KillEvery: 50,
-		Redeliver: 3,
-		Seed:      1,
 	})
 	if err != nil {
 		fail(err)

@@ -6,7 +6,6 @@ import (
 
 	"knit/internal/knit/build"
 	"knit/internal/knit/fleet"
-	"knit/internal/knit/observe"
 	"knit/internal/knit/overload"
 )
 
@@ -21,30 +20,37 @@ import (
 // OverloadSpec shapes an overload soak.
 type OverloadSpec struct {
 	Packets   int     // offered packets in the open-loop phase
-	Flows     int     // distinct flow keys
 	Shards    int     // fleet width
 	Multiple  float64 // offered load as a multiple of measured capacity (default 3)
 	KillEvery int     // kill the serving shard every N processed packets (0 = none)
-	Redeliver int     // fleet RedeliverAttempts (0 = at-most-once)
-	Seed      int64
 }
+
+// The soak's traffic and redelivery are fixed: overloadFlows distinct
+// flow keys from a seeded generator, and a fleet that replays a killed
+// batch up to overloadRedeliver times without progress before dropping
+// it.
+const (
+	overloadFlows     = 64
+	overloadSeed      = 1
+	overloadRedeliver = 3
+)
 
 // OverloadReport is the soak's ledger. AcceptedGoodput is served over
 // admitted — of the traffic the fleet accepted, how much it actually
 // finished; shed traffic was refused honestly at the door and does not
 // count against it.
 type OverloadReport struct {
+	// Stats is the controller's ledger: submitted, admitted and shed by
+	// class, plus the breaker, re-steer and brownout counters.
+	overload.Stats
+
 	Shards      int
 	CapacityPPS float64 // measured closed-loop, packets/sec
 	OfferedPPS  float64 // CapacityPPS * Multiple
 
-	Submitted   uint64
-	Admitted    uint64
 	Served      uint64
 	Dropped     uint64 // fleet-level batch losses (redelivery exhausted)
 	Redelivered uint64
-	Shed        [overload.NumClasses]uint64
-	ShedTotal   uint64
 
 	AcceptedGoodput float64 // Served / Admitted
 	ShedFraction    float64 // ShedTotal / Submitted
@@ -52,7 +58,6 @@ type OverloadReport struct {
 
 	OrderViolations int // fleet-global per-flow sequence inversions
 	Respawns        int
-	Stats           overload.Stats
 
 	// ConservationOK: submitted == served + dropped + shed exactly.
 	ConservationOK bool
@@ -116,13 +121,10 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 	if spec.Multiple <= 0 {
 		spec.Multiple = 3
 	}
-	fspec := FlowSpec{Packets: spec.Packets, Flows: spec.Flows, Skew: 1.05, Seed: spec.Seed}
-	if fspec.Flows < 1 {
-		fspec.Flows = 64
-	}
+	fspec := FlowSpec{Packets: spec.Packets, Flows: overloadFlows, Skew: 1.05, Seed: overloadSeed}
 	pkts := fspec.Generate()
 
-	cfg := fleet.Config{Shards: spec.Shards, RedeliverAttempts: spec.Redeliver}
+	cfg := fleet.Config{Shards: spec.Shards, RedeliverAttempts: overloadRedeliver}
 	capacity, err := measureCapacity(res, cfg, pkts)
 	if err != nil {
 		return nil, err
@@ -133,13 +135,7 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 	if err != nil {
 		return nil, err
 	}
-	ctrl := overload.NewController(rg.fl, overload.Config{
-		SLO:       observe.SLO{MinCalls: 16, Windows: 4, PromoteAfter: 2},
-		TripAfter: 2,
-		CoolTicks: 4,
-		MaxRemaps: 32,
-		ParkCap:   256,
-	})
+	ctrl := overload.NewController(rg.fl)
 
 	// Open loop: each packet has a wall-clock slot at the offered rate;
 	// the generator never waits for the fleet, only for the clock. High
@@ -156,11 +152,11 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 			time.Sleep(d)
 		}
 		class := classOf(fp.Flow)
+		var deadline time.Time
 		if class == overload.High {
-			ctrl.SubmitDeadline(fp.Flow, class, fp, time.Now().Add(2*time.Millisecond))
-		} else {
-			ctrl.TrySubmit(fp.Flow, class, fp)
+			deadline = time.Now().Add(2 * time.Millisecond)
 		}
+		ctrl.Submit(fp.Flow, class, fp, deadline)
 		if (i+1)%tickEvery == 0 {
 			ctrl.Tick()
 		}
@@ -176,16 +172,11 @@ func ServeOverload(res *build.Result, spec OverloadSpec) (*OverloadReport, error
 		return nil, closeErr // with kills, shard errors are the point
 	}
 
-	st := ctrl.Stats()
 	rep := &OverloadReport{
+		Stats:           ctrl.Stats(),
 		Shards:          spec.Shards,
 		CapacityPPS:     capacity,
 		OfferedPPS:      offered,
-		Submitted:       st.Submitted,
-		Admitted:        st.Admitted,
-		Shed:            st.Shed,
-		ShedTotal:       st.ShedTotal,
-		Stats:           st,
 		OrderViolations: frep.OrderViolations,
 		Rx:              frep.Rx,
 		Tx:              frep.Tx,

@@ -30,12 +30,9 @@ func TestServeOverloadSoak(t *testing.T) {
 			res.Backend = bk.b
 			rep, err := ServeOverload(res, OverloadSpec{
 				Packets:   1200,
-				Flows:     64,
 				Shards:    3,
 				Multiple:  3,
 				KillEvery: 50,
-				Redeliver: 3,
-				Seed:      1,
 			})
 			if err != nil {
 				t.Fatalf("ServeOverload: %v", err)

@@ -60,7 +60,8 @@ func ServeSupervised(res *build.Result, spec TrafficSpec, pol *supervise.Policy,
 	stats := InstallDevices(m, spec.Generate())
 	machine.InstallStopWatch(m) // elements tick the measurement window
 	col := observe.Attach(m)    // near-zero cost; every serve is observable
-	res.SetObserver(m, col)
+	sup := supervise.New(res, m, pol, clk)
+	sup.Observe(col) // before init, so the ledger counts the initializers
 	if err := res.RunInit(m); err != nil {
 		return nil, fmt.Errorf("clack: init: %w", err)
 	}
@@ -75,8 +76,6 @@ func ServeSupervised(res *build.Result, spec TrafficSpec, pol *supervise.Policy,
 		in.TrapCallEvery(victim.ExportSyms["in"]["push"], faultEvery)
 	}
 
-	sup := supervise.New(res, m, pol, clk)
-	sup.Observe(col)
 	rep := &ServeReport{Stats: stats}
 	// Each iteration consumes at least one packet or reports the traffic
 	// dry, so this bound is never reached by a healthy or degraded

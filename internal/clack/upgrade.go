@@ -78,12 +78,6 @@ type UpgradeReport struct {
 	DecisionLatency time.Duration
 }
 
-// upgradeSLO gates a serving-mode canary. MinCalls is sized so a window
-// fills within a few observation ticks even on small CI runs.
-func upgradeSLO() observe.SLO {
-	return observe.SLO{MinCalls: 64, Windows: 4, PromoteAfter: 2}
-}
-
 // ServeFleetUpgrade serves spec's traffic over a sharded router fleet
 // and, one third of the way into the stream, live-upgrades the
 // classifiers: the plan is applied to `canaries` shards, judged against
@@ -128,7 +122,7 @@ func serveUpgrade(fl *fleet.Fleet[FlowPacket], plan *reconfigure.Plan, pkts []Fl
 	canaries int, rep *UpgradeReport) error {
 
 	shards := len(fl.Shards())
-	can, err := reconfigure.NewCanary(fl, plan, float64(canaries)/float64(shards), upgradeSLO())
+	can, err := reconfigure.NewCanary(fl, plan, float64(canaries)/float64(shards))
 	if err != nil {
 		return err
 	}
@@ -158,9 +152,8 @@ func serveUpgrade(fl *fleet.Fleet[FlowPacket], plan *reconfigure.Plan, pkts []Fl
 			rep.Promoted = true
 			return nil
 		}
-		can.Rollback()
 		rep.RolledBack = true
-		rep.RollbackVerified = can.RollbackVerified() == nil
+		rep.RollbackVerified = can.Rollback() == nil
 		return nil
 	}
 	tick := len(pkts) / 24
@@ -183,7 +176,7 @@ func serveUpgrade(fl *fleet.Fleet[FlowPacket], plan *reconfigure.Plan, pkts []Fl
 	// Phase 3: a trial still pending when the stream ends gets a last few
 	// quiet window ticks; if it stays undecided the fleet must not be
 	// left split — an unproven upgrade rolls back.
-	for extra := 0; decision == reconfigure.Pending && extra < 2*upgradeSLO().Windows; extra++ {
+	for extra := 0; decision == reconfigure.Pending && extra < 2*observe.WindowTicks; extra++ {
 		rep.ObserveRounds++
 		if d := can.Observe(); d != reconfigure.Pending {
 			if err := act(d, served); err != nil {

@@ -229,7 +229,6 @@ func (sh *Shard[T]) boot() error {
 		}
 	}
 	col := observe.Attach(m)
-	fl.res.SetObserver(m, col)
 	sup := supervise.New(fl.res, m, fl.cfg.Policy.ForShard(sh.ID), fl.cfg.Clock(sh.ID))
 	sup.Observe(col)
 	sh.M, sh.Sup, sh.Col = m, sup, col

@@ -5,10 +5,10 @@ package observe
 // cumulative collector counters are turned into sliding deltas, so a
 // shard's trap rate and cycle tail are judged on what happened
 // *recently* (for a canary: since the upgrade), not diluted by its
-// healthy history. The SLO judge below is the one implementation both
-// consumers use — a candidate window is compared against a baseline
-// window, so "healthy" is always relative to what the rest of the
-// system is experiencing under the same traffic.
+// healthy history. The SLO judge and the Probation below are the one
+// implementation both consumers use — a candidate window is compared
+// against a baseline window, so "healthy" is always relative to what
+// the rest of the system is experiencing under the same traffic.
 
 // Sample is an aggregate activity snapshot: calls, traps, and the
 // per-call cycle histogram summed across instances. Samples subtract
@@ -73,59 +73,31 @@ func (r *Report) Totals() Sample {
 	return s
 }
 
-// SLO bounds a candidate's windowed trap rate and cycle tail relative
-// to a baseline observed over the same interval. The canary controller
-// judges upgraded shards against stable ones with it; the overload
-// layer's circuit breakers judge each shard against the rest of the
-// fleet. Zero fields take the documented defaults.
-type SLO struct {
-	// MinCalls is how much candidate traffic must accumulate in the
-	// window before a healthy judgment counts (default 256 calls).
-	// Breaches are acted on regardless — thin evidence of health is
-	// inconclusive, thin evidence of traps is not.
-	MinCalls uint64
+// The SLO policy is fixed: one set of thresholds gates both the canary
+// controller, which judges upgraded shards against stable ones, and the
+// overload layer's circuit breakers, which judge each shard against the
+// rest of the fleet. Only the traffic floor (Judge's minCalls) differs
+// between them.
+const (
 	// TrapRateMargin is how far above the baseline's windowed trap rate
-	// the candidate's may sit before the judgment is a breach
-	// (default 0.001).
-	TrapRateMargin float64
+	// the candidate's may sit before the judgment is a breach.
+	TrapRateMargin = 0.001
 	// P99Factor bounds the candidate's windowed per-call cycle p99 at
-	// factor times the baseline's (default 4; the p99 is a log2 bucket
-	// bound, so the factor spans two buckets).
-	P99Factor float64
-	// Windows is the sliding window length in observation ticks
-	// (default 4).
-	Windows int
-	// PromoteAfter is how many consecutive healthy judgments conclude
-	// the candidate is sound — a canary promotes, a half-open breaker
-	// closes (default 2).
-	PromoteAfter int
-}
-
-// WithDefaults fills zero fields with the documented defaults.
-func (s SLO) WithDefaults() SLO {
-	if s.MinCalls == 0 {
-		s.MinCalls = 256
-	}
-	if s.TrapRateMargin == 0 {
-		s.TrapRateMargin = 0.001
-	}
-	if s.P99Factor == 0 {
-		s.P99Factor = 4
-	}
-	if s.Windows <= 0 {
-		s.Windows = 4
-	}
-	if s.PromoteAfter <= 0 {
-		s.PromoteAfter = 2
-	}
-	return s
-}
+	// this multiple of the baseline's (the p99 is a log2 bucket bound,
+	// so the factor spans two buckets).
+	P99Factor = 4
+	// WindowTicks is the sliding window length in observation ticks.
+	WindowTicks = 4
+	// PromoteAfter is how many Meeting verdicts pass a Probation — a
+	// canary promotes, a half-open breaker closes.
+	PromoteAfter = 2
+)
 
 // Verdict is one window's SLO judgment.
 type Verdict int
 
 const (
-	// Inconclusive: the candidate window holds less than MinCalls of
+	// Inconclusive: the candidate window holds less than minCalls of
 	// traffic and no bound is breached — keep observing.
 	Inconclusive Verdict = iota
 	// Meeting: the candidate is within both bounds with enough traffic
@@ -148,41 +120,60 @@ func (v Verdict) String() string {
 }
 
 // Judge compares one candidate window against one baseline window.
-// Breaches are detected before the MinCalls floor is applied: a
+// Breaches are detected before the minCalls floor is applied: a
 // candidate that is already trapping on thin traffic is breaching, not
-// inconclusive.
-func (s SLO) Judge(candidate, baseline Sample) Verdict {
-	if candidate.TrapRate() > baseline.TrapRate()+s.TrapRateMargin {
+// inconclusive — thin evidence of health is inconclusive, thin evidence
+// of traps is not.
+func Judge(candidate, baseline Sample, minCalls uint64) Verdict {
+	if candidate.TrapRate() > baseline.TrapRate()+TrapRateMargin {
 		return Breaching
 	}
-	if bp := baseline.P99(); bp > 0 && float64(candidate.P99()) > s.P99Factor*float64(bp) {
+	if bp := baseline.P99(); bp > 0 && candidate.P99() > P99Factor*bp {
 		return Breaching
 	}
-	if candidate.Calls < s.MinCalls {
+	if candidate.Calls < minCalls {
 		return Inconclusive
 	}
 	return Meeting
 }
 
-// Window turns cumulative samples into a sliding window of recent
-// deltas. Feed it the collector's Totals at a steady cadence; Current
-// sums the most recent Size deltas. Not safe for concurrent use — drive
-// it from whatever goroutine owns the collector's machine.
-type Window struct {
-	size  int
-	last  Sample
-	ring  []Sample
-	next  int
-	count int
+// Probation is a candidate on trial: PromoteAfter Meeting verdicts pass
+// it, and a breach or a death fails it at once. The canary controller
+// tries an upgrade with one; a half-open breaker tries a shard with
+// one. The zero value is a fresh trial.
+type Probation struct{ meeting int }
+
+// Step judges one tick's windows and folds the verdict into the trial.
+// died reports that the candidate's machine died beyond its
+// supervisor's recovery since the last step, which fails the trial
+// whatever the windows say. Step returns Breaching once the trial has
+// failed, Meeting once it has passed, and Inconclusive while it goes on.
+func (p *Probation) Step(candidate, baseline Sample, minCalls uint64, died bool) Verdict {
+	if died {
+		return Breaching
+	}
+	switch Judge(candidate, baseline, minCalls) {
+	case Breaching:
+		return Breaching
+	case Meeting:
+		p.meeting++
+		if p.meeting >= PromoteAfter {
+			return Meeting
+		}
+	}
+	return Inconclusive
 }
 
-// NewWindow creates a sliding window over the size most recent deltas
-// (minimum 1).
-func NewWindow(size int) *Window {
-	if size < 1 {
-		size = 1
-	}
-	return &Window{size: size, ring: make([]Sample, size)}
+// Window turns cumulative samples into a sliding window of recent
+// deltas. Feed it the collector's Totals at a steady cadence; Current
+// sums the most recent WindowTicks deltas. The zero value is an empty
+// window anchored at zero. Not safe for concurrent use — drive it from
+// whatever goroutine owns the collector's machine.
+type Window struct {
+	last  Sample
+	ring  [WindowTicks]Sample
+	next  int
+	count int
 }
 
 // Advance records the delta between now and the previous cumulative
@@ -194,8 +185,8 @@ func (w *Window) Advance(now Sample) Sample {
 	d := delta(now, w.last)
 	w.last = now
 	w.ring[w.next] = d
-	w.next = (w.next + 1) % w.size
-	if w.count < w.size {
+	w.next = (w.next + 1) % WindowTicks
+	if w.count < WindowTicks {
 		w.count++
 	}
 	return w.Current()
@@ -214,13 +205,7 @@ func (w *Window) Current() Sample {
 // so the next Advance measures from this instant — the canary
 // controller calls it at apply time to scope judgment to post-upgrade
 // traffic.
-func (w *Window) Reset(now Sample) {
-	w.last = now
-	w.next, w.count = 0, 0
-	for i := range w.ring {
-		w.ring[i] = Sample{}
-	}
-}
+func (w *Window) Reset(now Sample) { *w = Window{last: now} }
 
 // delta computes now-prev counter-wise, clamping each counter to now
 // when it went backwards (collector replaced under the window).

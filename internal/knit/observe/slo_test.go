@@ -11,7 +11,7 @@ func sampleAt(calls, traps uint64, bucket int, n uint64) Sample {
 }
 
 func TestWindowSlides(t *testing.T) {
-	w := NewWindow(2)
+	var w Window
 	w.Reset(Sample{Calls: 100, Traps: 10})
 
 	cur := w.Advance(Sample{Calls: 150, Traps: 12})
@@ -22,17 +22,23 @@ func TestWindowSlides(t *testing.T) {
 	if cur.Calls != 100 || cur.Traps != 2 {
 		t.Fatalf("two deltas = %d calls / %d traps, want 100/2", cur.Calls, cur.Traps)
 	}
-	// Third advance evicts the first delta: window holds the last two.
-	cur = w.Advance(Sample{Calls: 210, Traps: 12})
-	if cur.Calls != 60 || cur.Traps != 0 {
-		t.Fatalf("slid window = %d calls / %d traps, want 60/0", cur.Calls, cur.Traps)
+	w.Advance(Sample{Calls: 210, Traps: 12})
+	cur = w.Advance(Sample{Calls: 230, Traps: 12})
+	if cur.Calls != 130 || cur.Traps != 2 {
+		t.Fatalf("full window = %d calls / %d traps, want 130/2", cur.Calls, cur.Traps)
+	}
+	// The fifth advance evicts the first delta: the window holds the
+	// last WindowTicks.
+	cur = w.Advance(Sample{Calls: 260, Traps: 12})
+	if cur.Calls != 110 || cur.Traps != 0 {
+		t.Fatalf("slid window = %d calls / %d traps, want 110/0", cur.Calls, cur.Traps)
 	}
 }
 
 func TestWindowClampsBackwardsCounters(t *testing.T) {
 	// A respawn replaces the collector, so cumulative counters restart
 	// from zero; the delta must clamp to the new value, not wrap.
-	w := NewWindow(1)
+	var w Window
 	w.Reset(Sample{Calls: 1000, Traps: 5})
 	cur := w.Advance(Sample{Calls: 30, Traps: 1})
 	if cur.Calls != 30 || cur.Traps != 1 {
@@ -41,7 +47,7 @@ func TestWindowClampsBackwardsCounters(t *testing.T) {
 }
 
 func TestWindowReset(t *testing.T) {
-	w := NewWindow(3)
+	var w Window
 	w.Reset(Sample{})
 	w.Advance(Sample{Calls: 100})
 	w.Reset(Sample{Calls: 100})
@@ -54,7 +60,7 @@ func TestWindowReset(t *testing.T) {
 }
 
 func TestJudgeVerdicts(t *testing.T) {
-	slo := SLO{MinCalls: 100, TrapRateMargin: 0.01, P99Factor: 4}.WithDefaults()
+	const minCalls = 100
 	base := sampleAt(1000, 0, 4, 1000) // trap rate 0, p99 bucket 4
 
 	cases := []struct {
@@ -73,7 +79,7 @@ func TestJudgeVerdicts(t *testing.T) {
 		{"p99 breach", sampleAt(1000, 0, 7, 1000), Breaching},
 	}
 	for _, tc := range cases {
-		if got := slo.Judge(tc.candidate, base); got != tc.want {
+		if got := Judge(tc.candidate, base, minCalls); got != tc.want {
 			t.Errorf("%s: verdict = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -82,21 +88,36 @@ func TestJudgeVerdicts(t *testing.T) {
 func TestJudgeIdleBaseline(t *testing.T) {
 	// An idle baseline (no calls, p99 = 0) must not turn every busy
 	// candidate into a p99 breach.
-	slo := SLO{}.WithDefaults()
 	cand := sampleAt(1000, 0, 8, 1000)
-	if got := slo.Judge(cand, Sample{}); got != Meeting {
+	if got := Judge(cand, Sample{}, 256); got != Meeting {
 		t.Fatalf("verdict against idle baseline = %v, want %v", got, Meeting)
 	}
 }
 
-func TestWithDefaults(t *testing.T) {
-	d := SLO{}.WithDefaults()
-	if d.MinCalls != 256 || d.TrapRateMargin != 0.001 || d.P99Factor != 4 ||
-		d.Windows != 4 || d.PromoteAfter != 2 {
-		t.Fatalf("unexpected defaults: %+v", d)
+func TestProbation(t *testing.T) {
+	base := sampleAt(1000, 0, 4, 1000)
+	healthy := sampleAt(100, 0, 4, 100)
+	thin := sampleAt(1, 0, 4, 1)
+	trapping := sampleAt(100, 50, 4, 100)
+
+	// Inconclusive ticks neither pass nor reset the trial.
+	var p Probation
+	for i, cand := range []Sample{healthy, thin} {
+		if got := p.Step(cand, base, 16, false); got != Inconclusive {
+			t.Fatalf("step %d: %v, want inconclusive", i, got)
+		}
 	}
-	custom := SLO{MinCalls: 1, TrapRateMargin: 0.5, P99Factor: 2, Windows: 8, PromoteAfter: 3}
-	if got := custom.WithDefaults(); got != custom {
-		t.Fatalf("WithDefaults clobbered explicit fields: %+v", got)
+	if got := p.Step(healthy, base, 16, false); got != Meeting {
+		t.Fatalf("after %d meeting verdicts: %v, want meeting (passed)", PromoteAfter, got)
+	}
+
+	var q Probation
+	q.Step(healthy, base, 16, false)
+	if got := q.Step(trapping, base, 16, false); got != Breaching {
+		t.Fatalf("breach mid-trial: %v, want breaching (failed)", got)
+	}
+	var r Probation
+	if got := r.Step(healthy, base, 16, true); got != Breaching {
+		t.Fatalf("death with healthy windows: %v, want breaching (failed)", got)
 	}
 }

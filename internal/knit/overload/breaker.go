@@ -37,14 +37,14 @@ func (s BreakerState) String() string {
 // closed → open → half-open state machine.
 type breaker struct {
 	state BreakerState
-	win   *observe.Window
+	win   observe.Window
 	// cur is this tick's window total, cached by Tick so every shard's
 	// judgment uses the same snapshot of its siblings.
 	cur observe.Sample
 	// breaches counts consecutive Breaching verdicts while closed;
-	// healthy counts consecutive Meeting verdicts while half-open.
+	// probe is the half-open trial.
 	breaches     int
-	healthy      int
+	probe        observe.Probation
 	cool         int
 	lastRespawns int
 }
@@ -60,10 +60,10 @@ func (c *Controller[T]) judge(b *breaker, respawned bool, base observe.Sample) {
 			c.trip(b)
 			return
 		}
-		switch c.cfg.SLO.Judge(b.cur, base) {
+		switch observe.Judge(b.cur, base, minCalls) {
 		case observe.Breaching:
 			b.breaches++
-			if b.breaches >= c.cfg.TripAfter {
+			if b.breaches >= tripAfter {
 				c.trip(b)
 			}
 		case observe.Meeting:
@@ -71,35 +71,31 @@ func (c *Controller[T]) judge(b *breaker, respawned bool, base observe.Sample) {
 		}
 	case Open:
 		if respawned {
-			b.cool = c.cfg.CoolTicks // still dying; restart the cooldown
+			b.cool = coolTicks // still dying; restart the cooldown
 			return
 		}
 		b.cool--
 		if b.cool <= 0 {
 			b.state = HalfOpen
-			b.healthy = 0
+			b.probe = observe.Probation{}
 		}
 	case HalfOpen:
-		if respawned || c.cfg.SLO.Judge(b.cur, base) == observe.Breaching {
+		switch b.probe.Step(b.cur, base, minCalls, respawned) {
+		case observe.Breaching:
 			b.state = Open
-			b.cool = c.cfg.CoolTicks
+			b.cool = coolTicks
 			c.stats.Reopens++
-			return
-		}
-		if c.cfg.SLO.Judge(b.cur, base) == observe.Meeting {
-			b.healthy++
-			if b.healthy >= c.cfg.SLO.PromoteAfter {
-				b.state = Closed
-				b.breaches = 0
-				c.stats.Closes++
-			}
+		case observe.Meeting:
+			b.state = Closed
+			b.breaches = 0
+			c.stats.Closes++
 		}
 	}
 }
 
 func (c *Controller[T]) trip(b *breaker) {
 	b.state = Open
-	b.cool = c.cfg.CoolTicks
+	b.cool = coolTicks
 	b.breaches = 0
 	c.stats.Trips++
 }

@@ -11,9 +11,10 @@ import (
 
 // TestConservationUnderChaos is the accounting property test: across
 // randomized traffic (mixed classes, many flows), randomized transient
-// kills (respawns with redelivery), the breaker trips and re-steers
-// they induce, and pressure-driven shedding, every submitted item is
-// exactly one of served, dropped, or shed:
+// kills (respawns with redelivery), the breaker trips, re-steers,
+// closes and return migrations they induce, and pressure-driven
+// shedding, every submitted item is exactly one of served, dropped, or
+// shed:
 //
 //	submitted == served + dropped + shed
 //
@@ -31,10 +32,23 @@ func TestConservationUnderChaos(t *testing.T) {
 		bk := bk
 		t.Run(bk.name, func(t *testing.T) {
 			res := buildOverload(t, bk.b)
+			// The breaker thresholds are the controller's fixed ones, so
+			// the traffic is scaled to meet them: a half-open shard closes
+			// only after its 4-tick window holds minCalls (16) calls on
+			// two ticks running. Ticks are spaced by a burst of
+			// itemsPerTick submissions and a pause that lets the shards
+			// drain. Every shard homes well over maxRemaps (32) of the
+			// flows, so the remap table fills and a half-open shard keeps
+			// enough unremapped home flows to serve as probe traffic.
 			const (
-				shards = 3
-				items  = 600
-				flows  = 24
+				shards       = 3
+				items        = 1600
+				flows        = 256
+				itemsPerTick = 32
+				// tailTicks bounds the kill-free settling phase after the
+				// chaos: light deadline-backed traffic on every flow until
+				// each breaker has closed and each flow is home again.
+				tailTicks = 200
 			)
 			// A "kill item" fails its batch once per batch incarnation:
 			// seen tracks which kill keys this shard generation already
@@ -71,16 +85,11 @@ func TestConservationUnderChaos(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			c := NewController(fl, Config{
-				SLO:       observeSLO(),
-				TripAfter: 1,
-				CoolTicks: 2,
-				MaxRemaps: 8,
-				ParkCap:   16,
-			})
+			c := NewController(fl)
 
 			rng := rand.New(rand.NewSource(0x5eed))
 			kills := int64(0)
+			submitted := uint64(0)
 			for i := 0; i < items; i++ {
 				flow := uint64(rng.Intn(flows))
 				class := Class(rng.Intn(int(NumClasses)))
@@ -91,18 +100,33 @@ func TestConservationUnderChaos(t *testing.T) {
 				} else {
 					item = int64(rng.Intn(100) + 1)
 				}
+				var deadline time.Time
 				if rng.Intn(4) == 0 && class == High {
-					c.SubmitDeadline(flow, class, item, time.Now().Add(2*time.Millisecond))
-				} else {
-					c.TrySubmit(flow, class, item)
+					deadline = time.Now().Add(2 * time.Millisecond)
 				}
-				if i%7 == 0 {
+				c.Submit(flow, class, item, deadline)
+				submitted++
+				if i%itemsPerTick == itemsPerTick-1 {
 					c.Tick()
+					time.Sleep(200 * time.Microsecond)
 				}
 			}
-			for i := 0; i < 50; i++ {
+			chaos := c.Stats()
+			settled := func() bool {
+				for id := 0; id < shards; id++ {
+					if c.BreakerState(id) != Closed {
+						return false
+					}
+				}
+				return c.Remapped() == 0
+			}
+			for i := 0; i < tailTicks && !settled(); i++ {
+				for flow := uint64(0); flow < flows; flow++ {
+					c.Submit(flow, High, int64(rng.Intn(100)+1), time.Now().Add(2*time.Millisecond))
+					submitted++
+				}
 				c.Tick()
-				time.Sleep(time.Millisecond)
+				time.Sleep(200 * time.Microsecond)
 			}
 			c.Drain(time.Now().Add(5 * time.Second))
 			if got := c.Parked(); got != 0 {
@@ -119,8 +143,8 @@ func TestConservationUnderChaos(t *testing.T) {
 				redelivered += sh.Redelivered()
 				respawns += sh.Respawns()
 			}
-			if st.Submitted != uint64(items) {
-				t.Fatalf("submitted = %d, want %d", st.Submitted, items)
+			if st.Submitted != submitted {
+				t.Fatalf("submitted = %d, want %d", st.Submitted, submitted)
 			}
 			if st.Submitted != st.Admitted+st.ShedTotal {
 				t.Fatalf("conservation (controller): submitted %d != admitted %d + shed %d",
@@ -135,15 +159,28 @@ func TestConservationUnderChaos(t *testing.T) {
 					served, dropped, st.ShedTotal, st.Submitted)
 			}
 			// The chaos must actually have happened for the property to
-			// mean anything.
+			// mean anything: kills recovered by redelivery, and breakers
+			// that tripped, closed again and brought their flows home.
 			if respawns == 0 || redelivered == 0 {
 				t.Fatalf("chaos too tame: respawns=%d redelivered=%d, want > 0", respawns, redelivered)
+			}
+			if chaos.Trips == 0 || chaos.Resteers == 0 || chaos.Closes == 0 || chaos.Returns == 0 {
+				t.Fatalf("chaos too tame: trips=%d resteers=%d closes=%d returns=%d during the load, want > 0",
+					chaos.Trips, chaos.Resteers, chaos.Closes, chaos.Returns)
+			}
+			// Once the kills stop, probe traffic closes every breaker and
+			// every re-steered flow migrates home.
+			if !settled() {
+				t.Fatalf("not settled after %d quiet ticks: breakers %v %v %v, remapped=%d",
+					tailTicks, c.BreakerState(0), c.BreakerState(1), c.BreakerState(2), c.Remapped())
 			}
 			if dropped != 0 {
 				t.Fatalf("dropped = %d, want 0 (transient kills with redelivery are the recoverable path)", dropped)
 			}
-			t.Logf("%s: served=%d shed=%v redelivered=%d respawns=%d trips=%d resteers=%d",
-				bk.name, served, st.Shed, redelivered, respawns, st.Trips, st.Resteers)
+			t.Logf("%s: served=%d shed=%v redelivered=%d respawns=%d trips=%d reopens=%d resteers=%d; "+
+				"during load closes=%d returns=%d; after settling closes=%d returns=%d remapped=%d",
+				bk.name, served, st.Shed, redelivered, respawns, st.Trips, st.Reopens, st.Resteers,
+				chaos.Closes, chaos.Returns, st.Closes, st.Returns, c.Remapped())
 		})
 	}
 }

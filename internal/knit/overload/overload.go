@@ -2,22 +2,22 @@
 // than it can carry. It layers four mechanisms over fleet + supervise +
 // observe, each engaging earlier than the one after it:
 //
-//  1. Admission control: TrySubmit never blocks the producer; when a
-//     shard cannot take an item, the item is shed by priority class —
-//     Low first (above LowWater pressure), Normal only above HighWater,
-//     High only when the queue is hard-full (or, with SubmitDeadline,
-//     after a bounded wait for a slot).
-//  2. Brownout: when mean fleet pressure crosses BrownoutAt, every
+//  1. Admission control: Submit never blocks the producer past its
+//     deadline; when a shard cannot take an item, the item is shed by
+//     priority class — Low first (above lowWater pressure), Normal only
+//     above highWater, High only when the queue is hard-full (after the
+//     deadline's bounded wait for a slot, if one was given).
+//  2. Brownout: when mean fleet pressure crosses brownoutAt, every
 //     shard is switched to its declared fallback wiring (the paper's
 //     interposition, applied fleet-wide via supervise.DegradeAll) —
 //     degrade the work before shedding Normal traffic; restore when
-//     pressure falls below BrownoutClearAt.
+//     pressure falls below brownoutClearAt.
 //  3. Per-shard circuit breakers: each shard's windowed trap rate and
 //     cycle p99 (observe.Window over Shard.HealthSample) is judged
-//     against its closed siblings by the shared observe.SLO judge — the
-//     same one the canary controller uses. Breaching verdicts or a
-//     respawn trip the shard open; a cooldown later it goes half-open
-//     and serves probe traffic; sustained Meeting verdicts close it.
+//     against its closed siblings by observe.Judge — the same judge the
+//     canary controller uses. Breaching verdicts or a respawn trip the
+//     shard open; a cooldown later it goes half-open and serves probe
+//     traffic on an observe.Probation, whose pass closes it.
 //  4. Flow re-steering: flows homed on an open shard migrate to a
 //     healthy sibling through a bounded remap table. Each migration
 //     (and each return migration when the breaker closes) runs a drain
@@ -26,10 +26,10 @@
 //     per-flow order holds end to end across the move.
 //
 // The controller is single-producer, like the fleet under it: drive
-// TrySubmit/SubmitDeadline/Tick/Drain from the one goroutine that owns
-// submission. Everything it reads cross-goroutine (queue depths,
-// respawn counts, health samples) is one of the fleet's atomic or
-// mutex-published accessors.
+// Submit/Tick/Drain from the one goroutine that owns submission.
+// Everything it reads cross-goroutine (queue depths, respawn counts,
+// health samples) is one of the fleet's atomic or mutex-published
+// accessors.
 package overload
 
 import (
@@ -46,10 +46,10 @@ const (
 	// High traffic is shed only when a queue is hard-full past its
 	// deadline budget.
 	High Class = iota
-	// Normal traffic is shed above HighWater pressure — after brownout
+	// Normal traffic is shed above highWater pressure — after brownout
 	// has already degraded the work being done.
 	Normal
-	// Low traffic is shed first, above LowWater pressure.
+	// Low traffic is shed first, above lowWater pressure.
 	Low
 
 	NumClasses
@@ -64,69 +64,38 @@ func (c Class) String() string {
 	return "class?"
 }
 
-// Config shapes the controller. Zero fields take the documented
-// defaults; the zero value is a usable configuration.
-type Config struct {
-	// LowWater is the target-shard pressure (fleet.Pressure, queue
-	// occupancy in [0,1]) above which Low traffic is shed (default 0.5).
-	LowWater float64
-	// HighWater is the pressure above which Normal traffic is shed
-	// (default 0.9). Keep it above BrownoutAt: brownout must engage
-	// before Normal traffic is refused.
-	HighWater float64
-	// BrownoutAt is the mean fleet pressure that engages brownout
-	// (default 0.75); BrownoutClearAt is where it disengages (default
-	// 0.4). The gap is hysteresis against flapping.
-	BrownoutAt      float64
-	BrownoutClearAt float64
-	// SLO parameterizes the per-shard circuit breakers: each shard's
-	// sliding window is judged against the sum of its closed siblings'
-	// windows. PromoteAfter doubles as the half-open close threshold.
-	SLO observe.SLO
-	// TripAfter is how many consecutive Breaching judgments open a
-	// closed shard's breaker (default 2). A respawn trips immediately.
-	TripAfter int
-	// CoolTicks is how many Ticks an open breaker waits before going
-	// half-open (default 4).
-	CoolTicks int
-	// MaxRemaps bounds the re-steering table: at most this many flows
-	// are remapped away from open shards at once (default 16). Flows
-	// beyond the bound stay on their sick home shard and take their
-	// chances with admission.
-	MaxRemaps int
-	// ParkCap bounds how many items a migrating flow may hold parked
-	// while its drain barrier completes (default 128); overflow is shed.
-	ParkCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.LowWater == 0 {
-		c.LowWater = 0.5
-	}
-	if c.HighWater == 0 {
-		c.HighWater = 0.9
-	}
-	if c.BrownoutAt == 0 {
-		c.BrownoutAt = 0.75
-	}
-	if c.BrownoutClearAt == 0 {
-		c.BrownoutClearAt = 0.4
-	}
-	c.SLO = c.SLO.WithDefaults()
-	if c.TripAfter <= 0 {
-		c.TripAfter = 2
-	}
-	if c.CoolTicks <= 0 {
-		c.CoolTicks = 4
-	}
-	if c.MaxRemaps <= 0 {
-		c.MaxRemaps = 16
-	}
-	if c.ParkCap <= 0 {
-		c.ParkCap = 128
-	}
-	return c
-}
+// The control policy is fixed; these are its thresholds.
+const (
+	// lowWater is the target-shard pressure (fleet.Pressure, queue
+	// occupancy in [0,1]) above which Low traffic is shed.
+	lowWater = 0.5
+	// highWater is the pressure above which Normal traffic is shed. It
+	// sits above brownoutAt: brownout engages before Normal traffic is
+	// refused.
+	highWater = 0.9
+	// brownoutAt is the mean fleet pressure that engages brownout;
+	// brownoutClearAt is where it disengages. The gap is hysteresis
+	// against flapping.
+	brownoutAt      = 0.75
+	brownoutClearAt = 0.4
+	// minCalls is how much traffic a shard's window must hold before
+	// the breaker's judge calls it healthy.
+	minCalls = 16
+	// tripAfter is how many consecutive Breaching judgments open a
+	// closed shard's breaker. A respawn trips immediately.
+	tripAfter = 2
+	// coolTicks is how many Ticks an open breaker waits before going
+	// half-open.
+	coolTicks = 4
+	// maxRemaps bounds the re-steering table: at most this many flows
+	// are remapped away from open shards at once. Flows beyond the bound
+	// stay on their sick home shard and take their chances with
+	// admission.
+	maxRemaps = 32
+	// parkCap bounds how many items a migrating flow may hold parked
+	// while its drain barrier completes; overflow is shed.
+	parkCap = 256
+)
 
 // Stats is the controller's conservation ledger. At every instant
 // Submitted == Admitted + ShedTotal + parked-in-limbo; after Drain the
@@ -154,7 +123,6 @@ type Stats struct {
 // Controller is the overload-resilience layer over one fleet.
 type Controller[T any] struct {
 	fl     *fleet.Fleet[T]
-	cfg    Config
 	shards int
 	brk    []*breaker
 	remap  map[uint64]*entry[T]
@@ -204,41 +172,30 @@ const (
 
 // NewController wraps fl. The fleet stays usable directly, but items
 // the controller should account for must go through it.
-func NewController[T any](fl *fleet.Fleet[T], cfg Config) *Controller[T] {
-	cfg = cfg.withDefaults()
+func NewController[T any](fl *fleet.Fleet[T]) *Controller[T] {
 	n := len(fl.Shards())
 	c := &Controller[T]{
 		fl:        fl,
-		cfg:       cfg,
 		shards:    n,
 		remap:     map[uint64]*entry[T]{},
 		browned:   make([]bool, n),
 		brownedAt: make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		c.brk = append(c.brk, &breaker{win: observe.NewWindow(cfg.SLO.Windows)})
+		c.brk = append(c.brk, &breaker{})
 	}
 	return c
 }
 
-// TrySubmit routes one item by flow key through admission control: it
-// never blocks, and returns whether the item was admitted (parked items
-// count as admitted once their barrier flush lands them on a shard;
-// until then they are in limbo, visible via Parked). A false return
-// means the item was shed and counted.
-func (c *Controller[T]) TrySubmit(flow uint64, class Class, item T) bool {
-	return c.submit(flow, class, item, time.Time{})
-}
-
-// SubmitDeadline is TrySubmit with a time budget: when the target shard
-// cannot take the item immediately, the producer waits for a queue slot
-// until the deadline before shedding. Reserve it for High traffic — the
-// wait blocks the producer.
-func (c *Controller[T]) SubmitDeadline(flow uint64, class Class, item T, deadline time.Time) bool {
-	return c.submit(flow, class, item, deadline)
-}
-
-func (c *Controller[T]) submit(flow uint64, class Class, item T, deadline time.Time) bool {
+// Submit routes one item by flow key through admission control and
+// returns whether it was admitted (parked items count as admitted once
+// their barrier flush lands them on a shard; until then they are in
+// limbo, visible via Parked). A false return means the item was shed
+// and counted. When the target shard cannot take the item at once,
+// Submit waits for a queue slot until deadline before shedding; a zero
+// deadline never waits. Reserve deadlines for High traffic — the wait
+// blocks the producer.
+func (c *Controller[T]) Submit(flow uint64, class Class, item T, deadline time.Time) bool {
 	c.stats.Submitted++
 	home := int(fleet.FlowShard(flow, c.shards))
 	e := c.remap[flow]
@@ -258,24 +215,18 @@ func (c *Controller[T]) submit(flow uint64, class Class, item T, deadline time.T
 		}
 		target = e.to
 	}
-	return c.admit(target, class, item, deadline)
-}
-
-// admit applies class gating against the target shard's pressure, then
-// offers the item to the fleet without blocking (or within the deadline
-// budget; zero means none). Refusals are shed and counted.
-func (c *Controller[T]) admit(target int, class Class, item T, deadline time.Time) bool {
-	p := c.fl.Pressure(target)
-	if (class == Low && p >= c.cfg.LowWater) || (class == Normal && p >= c.cfg.HighWater) {
-		c.shed(class)
-		return false
-	}
-	if !c.fl.Offer(target, item, deadline) {
+	if c.gated(target, class) || !c.fl.Offer(target, item, deadline) {
 		c.shed(class)
 		return false
 	}
 	c.stats.Admitted++
 	return true
+}
+
+// gated reports whether shard id's pressure refuses class outright.
+func (c *Controller[T]) gated(id int, class Class) bool {
+	p := c.fl.Pressure(id)
+	return (class == Low && p >= lowWater) || (class == Normal && p >= highWater)
 }
 
 func (c *Controller[T]) shed(class Class) {
@@ -287,7 +238,7 @@ func (c *Controller[T]) shed(class Class) {
 // is bounded; overflow is shed — order-safe, since a shed item simply
 // never serves.
 func (c *Controller[T]) park(e *entry[T], class Class, item T) bool {
-	if len(e.parked) >= c.cfg.ParkCap {
+	if len(e.parked) >= parkCap {
 		c.shed(class)
 		return false
 	}
@@ -299,7 +250,7 @@ func (c *Controller[T]) park(e *entry[T], class Class, item T) bool {
 // table has room and a closed sibling exists. The barrier is captured
 // as soon as the home shard's partial batch can be handed off.
 func (c *Controller[T]) resteer(flow uint64, home int) *entry[T] {
-	if len(c.remap) >= c.cfg.MaxRemaps {
+	if len(c.remap) >= maxRemaps {
 		return nil
 	}
 	to := -1
@@ -366,8 +317,7 @@ func (c *Controller[T]) flushParked(e *entry[T], id int) bool {
 	i := 0
 	for ; i < len(e.parked); i++ {
 		pi := e.parked[i]
-		p := c.fl.Pressure(id)
-		if (pi.class == Low && p >= c.cfg.LowWater) || (pi.class == Normal && p >= c.cfg.HighWater) {
+		if c.gated(id, pi.class) {
 			c.shed(pi.class)
 			continue
 		}
@@ -425,10 +375,10 @@ func (c *Controller[T]) tickBrownout(shs []*fleet.Shard[T]) {
 		mean += c.fl.Pressure(i)
 	}
 	mean /= float64(c.shards)
-	if !c.brownout && mean >= c.cfg.BrownoutAt {
+	if !c.brownout && mean >= brownoutAt {
 		c.brownout = true
 		c.stats.BrownoutEngaged++
-	} else if c.brownout && mean <= c.cfg.BrownoutClearAt {
+	} else if c.brownout && mean <= brownoutClearAt {
 		c.brownout = false
 		c.stats.BrownoutCleared++
 	}

@@ -6,15 +6,8 @@ import (
 	"time"
 
 	"knit/internal/knit/fleet"
-	"knit/internal/knit/observe"
 	"knit/internal/machine"
 )
-
-// observeSLO is a fast-converging SLO for tests: one call of evidence
-// suffices and one healthy verdict promotes.
-func observeSLO() observe.SLO {
-	return observe.SLO{MinCalls: 1, PromoteAfter: 1, Windows: 2}
-}
 
 func workHandler(poison int64) fleet.Handler[int64] {
 	return func(sh *fleet.Shard[int64], batch []int64) error {
@@ -61,10 +54,10 @@ func TestAdmissionShedsByClass(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := NewController(fl, Config{})
+	c := NewController(fl)
 
 	// One item parks inside the handler; wait for the queue to empty.
-	if !c.TrySubmit(0, High, 1) {
+	if !c.Submit(0, High, 1, time.Time{}) {
 		t.Fatal("first submit must be admitted")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -72,29 +65,29 @@ func TestAdmissionShedsByClass(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Fill: depth 0 -> 1 -> 2 (pressure 0, .25 at admission time).
-	if !c.TrySubmit(0, High, 1) || !c.TrySubmit(0, High, 1) {
+	if !c.Submit(0, High, 1, time.Time{}) || !c.Submit(0, High, 1, time.Time{}) {
 		t.Fatal("High must be admitted while pressure is low")
 	}
 	// Pressure now 0.5: Low sheds, High still admitted (depth 3).
-	if c.TrySubmit(0, Low, 1) {
+	if c.Submit(0, Low, 1, time.Time{}) {
 		t.Fatal("Low must shed at pressure 0.5")
 	}
-	if !c.TrySubmit(0, High, 1) {
+	if !c.Submit(0, High, 1, time.Time{}) {
 		t.Fatal("High must be admitted at pressure 0.5")
 	}
 	// Pressure 0.75: Normal still admitted (fills the queue, depth 4).
-	if !c.TrySubmit(0, Normal, 1) {
+	if !c.Submit(0, Normal, 1, time.Time{}) {
 		t.Fatal("Normal must be admitted at pressure 0.75")
 	}
 	// Pressure 1.0: Normal sheds on the water mark, High on the full
-	// queue — immediately via TrySubmit, after the budget via deadline.
-	if c.TrySubmit(0, Normal, 1) {
+	// queue — immediately with no deadline, after the budget with one.
+	if c.Submit(0, Normal, 1, time.Time{}) {
 		t.Fatal("Normal must shed at pressure 1.0")
 	}
-	if c.TrySubmit(0, High, 1) {
+	if c.Submit(0, High, 1, time.Time{}) {
 		t.Fatal("High must shed when the queue is hard-full")
 	}
-	if c.SubmitDeadline(0, High, 1, time.Now().Add(5*time.Millisecond)) {
+	if c.Submit(0, High, 1, time.Now().Add(5*time.Millisecond)) {
 		t.Fatal("High deadline submit must expire against a parked shard")
 	}
 
@@ -128,11 +121,7 @@ func TestBreakerTripResteerAndReturn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := NewController(fl, Config{
-		SLO:       observeSLO(),
-		TripAfter: 1,
-		CoolTicks: 1,
-	})
+	c := NewController(fl)
 	victim := 0
 	flowV := flowFor(t, victim, 2)
 	flowProbe := flowV + 2 // same low bits -> same home shard
@@ -141,10 +130,10 @@ func TestBreakerTripResteerAndReturn(t *testing.T) {
 	}
 
 	// Healthy traffic, then the kill.
-	if !c.TrySubmit(flowV, High, 5) {
+	if !c.Submit(flowV, High, 5, time.Time{}) {
 		t.Fatal("healthy submit refused")
 	}
-	if !c.TrySubmit(flowV, High, poison) {
+	if !c.Submit(flowV, High, poison, time.Time{}) {
 		t.Fatal("poison submit refused")
 	}
 	waitFor(t, func() bool { return fl.Shards()[victim].Respawns() == 1 })
@@ -155,7 +144,7 @@ func TestBreakerTripResteerAndReturn(t *testing.T) {
 
 	// A submission for the victim's flow now re-steers: the entry drains
 	// the home shard, then serves on the sibling.
-	if !c.TrySubmit(flowV, High, 7) {
+	if !c.Submit(flowV, High, 7, time.Time{}) {
 		t.Fatal("re-steered submit refused")
 	}
 	if c.Remapped() != 1 {
@@ -166,12 +155,18 @@ func TestBreakerTripResteerAndReturn(t *testing.T) {
 
 	// Recovery: cooldown to half-open, probe traffic on an unremapped
 	// flow produces Meeting verdicts, breaker closes, flow returns home.
-	c.Tick() // open -> half-open (CoolTicks=1)
+	// The waits above ticked too, so the cooldown may already be spent.
+	for i := 0; i < coolTicks && c.BreakerState(victim) == Open; i++ {
+		c.Tick()
+	}
 	if c.BreakerState(victim) != HalfOpen {
-		t.Fatalf("breaker = %v, want half-open", c.BreakerState(victim))
+		t.Fatalf("breaker = %v after the %d-tick cooldown, want half-open", c.BreakerState(victim), coolTicks)
 	}
 	waitFor(t, func() bool {
-		c.TrySubmit(flowProbe, High, 1)
+		// Each round puts a judge's worth of calls in the window.
+		for i := 0; i < minCalls; i++ {
+			c.Submit(flowProbe, High, 1, time.Now().Add(time.Second))
+		}
 		time.Sleep(time.Millisecond)
 		c.Tick()
 		return c.BreakerState(victim) == Closed
@@ -186,7 +181,7 @@ func TestBreakerTripResteerAndReturn(t *testing.T) {
 
 	// After the return, the flow serves on its home shard again.
 	homeServed := fl.Shards()[victim].Served()
-	if !c.TrySubmit(flowV, High, 3) {
+	if !c.Submit(flowV, High, 3, time.Time{}) {
 		t.Fatal("post-return submit refused")
 	}
 	waitFor(t, func() bool { return fl.Shards()[victim].Served() > homeServed })
@@ -232,10 +227,10 @@ func TestBrownoutDegradesFleetAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c := NewController(fl, Config{})
+	c := NewController(fl)
 
 	// Park the shard and fill to 6/8 queue slots: pressure 0.75.
-	if !c.TrySubmit(0, High, 1) {
+	if !c.Submit(0, High, 1, time.Time{}) {
 		t.Fatal("first submit refused")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -243,7 +238,7 @@ func TestBrownoutDegradesFleetAndRestores(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 6; i++ {
-		if !c.TrySubmit(0, High, 1) {
+		if !c.Submit(0, High, 1, time.Time{}) {
 			t.Fatalf("fill submit %d refused", i)
 		}
 	}
@@ -305,4 +300,114 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestResteerBounds drives the re-steering table into each of its fixed
+// bounds against a home shard stalled mid-batch, so no drain barrier on
+// it can complete: a park holding parkCap items sheds the next one, a
+// full remap table leaves the next flow on its sick home shard, a flow
+// with no closed sibling stays home, and Drain's deadline sheds every
+// item still parked. Items take classes round-robin; the items that
+// end up shed are always the first ones submitted, so the per-class
+// ledger is predictable.
+func TestResteerBounds(t *testing.T) {
+	cases := []struct {
+		name     string
+		trip     []int // shards a respawn trips open; shard 0 is the stalled home
+		flows    int   // distinct flows homed on shard 0 submitting after the trip
+		perFlow  int   // items each of those flows submits
+		remapped int   // Remapped() after the submissions
+		parked   int   // Parked() before Drain
+		shedLive int   // items shed at submission
+		shed     int   // items shed after Drain: the first shed submitted
+	}{
+		{"park overflow", []int{0}, 1, parkCap + 1, 1, parkCap, 1, parkCap + 1},
+		{"remap table full", []int{0}, maxRemaps + 1, 1, maxRemaps, maxRemaps, 0, maxRemaps},
+		{"no closed sibling", []int{0, 1}, 1, 1, 0, 0, 0, 0},
+	}
+	res := buildOverload(t, machine.BackendInterp)
+	const poison, stall = int64(-1), int64(-2)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			handler := func(sh *fleet.Shard[int64], batch []int64) error {
+				for i, x := range batch {
+					switch x {
+					case poison:
+						return errPoisoned
+					case stall:
+						<-gate
+					}
+					if _, err := sh.Sup.Call("main", "work", 1); err != nil {
+						return err
+					}
+					sh.Ack(i + 1)
+				}
+				return nil
+			}
+			fl, err := fleet.New[int64](res, fleet.Config{Shards: 2, Batch: 1, Queue: 8}, handler)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			c := NewController(fl)
+			var homed []uint64 // flows homed on shard 0, in key order
+			for f := uint64(0); len(homed) < tc.flows+1; f++ {
+				if fleet.FlowShard(f, 2) == 0 {
+					homed = append(homed, f)
+				}
+			}
+			stallFlow, victims := homed[0], homed[1:]
+
+			for _, id := range tc.trip {
+				c.Submit(flowFor(t, id, 2), High, poison, time.Time{})
+				waitFor(t, func() bool { return fl.Shards()[id].Respawns() == 1 })
+			}
+			c.Submit(stallFlow, High, stall, time.Time{})
+			waitFor(t, func() bool { return fl.QueueDepth(0) == 0 })
+			c.Tick()
+			for _, id := range tc.trip {
+				if c.BreakerState(id) != Open {
+					t.Fatalf("shard %d breaker = %v after its respawn, want open", id, c.BreakerState(id))
+				}
+			}
+			pre := c.Stats()
+
+			n := 0
+			for _, flow := range victims {
+				for k := 0; k < tc.perFlow; k++ {
+					c.Submit(flow, Class(n%int(NumClasses)), int64(n+1), time.Time{})
+					n++
+				}
+			}
+			if got := c.Remapped(); got != tc.remapped {
+				t.Errorf("remapped = %d, want %d", got, tc.remapped)
+			}
+			if got := c.Parked(); got != tc.parked {
+				t.Errorf("parked = %d, want %d", got, tc.parked)
+			}
+			if got := c.Stats().ShedTotal - pre.ShedTotal; got != uint64(tc.shedLive) {
+				t.Errorf("shed at submission = %d, want %d", got, tc.shedLive)
+			}
+
+			c.Drain(time.Now().Add(20 * time.Millisecond))
+			if got := c.Parked(); got != 0 {
+				t.Errorf("parked after Drain = %d, want 0", got)
+			}
+			st := c.Stats()
+			if st.Submitted != st.Admitted+st.ShedTotal {
+				t.Errorf("submitted %d != admitted %d + shed %d", st.Submitted, st.Admitted, st.ShedTotal)
+			}
+			var want [NumClasses]uint64
+			for i := 0; i < tc.shed; i++ {
+				want[i%int(NumClasses)]++
+			}
+			for cl := Class(0); cl < NumClasses; cl++ {
+				if got := st.Shed[cl] - pre.Shed[cl]; got != want[cl] {
+					t.Errorf("%v shed = %d, want %d", cl, got, want[cl])
+				}
+			}
+			close(gate)
+			fl.Close() // the poisoned batches make the error non-nil
+		})
+	}
 }

@@ -44,7 +44,6 @@ func (d Decision) String() string {
 type Canary[T any] struct {
 	fl   *fleet.Fleet[T]
 	plan *Plan
-	slo  observe.SLO
 
 	canaries []int
 	stables  []int
@@ -57,19 +56,24 @@ type Canary[T any] struct {
 	// window alone could miss (the reboot retires the collector).
 	respawns map[int]int
 
-	healthy    int
+	trial      observe.Probation
 	done       bool
 	verifyErrs []error
 }
 
+// canaryMinCalls is how much canary traffic a window must hold before a
+// healthy judgment counts; it fills within a few observation ticks even
+// on small runs.
+const canaryMinCalls = 64
+
 // NewCanary plans a trial of plan on fraction of fl's shards (at least
 // one canary, at least one stable shard — fleets of one shard cannot
-// canary; upgrade them directly with Plan.Apply). slo gates the trial:
-// the canary shards' windowed trap rate and cycle tail are judged
-// against the stable shards' over the same interval — the same judge
-// the overload layer's circuit breakers trip on, with the canaries as
-// candidate and the stable shards as baseline.
-func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo observe.SLO) (*Canary[T], error) {
+// canary; upgrade them directly with Plan.Apply). The trial is an
+// observe.Probation: the canary shards' windowed trap rate and cycle
+// tail are judged against the stable shards' over the same interval —
+// the same judge the overload layer's circuit breakers trip on, with
+// the canaries as candidate and the stable shards as baseline.
+func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64) (*Canary[T], error) {
 	n := len(fl.Shards())
 	if n < 2 {
 		return nil, fmt.Errorf("reconfigure: canary needs >= 2 shards, fleet has %d", n)
@@ -84,7 +88,6 @@ func NewCanary[T any](fl *fleet.Fleet[T], plan *Plan, fraction float64, slo obse
 	c := &Canary[T]{
 		fl:       fl,
 		plan:     plan,
-		slo:      slo.WithDefaults(),
 		applied:  map[int]*Applied{},
 		wins:     map[int]*observe.Window{},
 		respawns: map[int]int{},
@@ -117,9 +120,8 @@ func (c *Canary[T]) Start() error {
 			}
 			c.applied[id] = a
 			sh.Sup.SetPolicy(c.fl.ShardPolicy(id).ForCanary())
-			w := observe.NewWindow(c.slo.Windows)
-			w.Reset(sh.Col.Totals())
-			c.wins[id] = w
+			c.wins[id] = &observe.Window{}
+			c.wins[id].Reset(sh.Col.Totals())
 			c.respawns[id] = sh.Respawns()
 			return nil
 		})
@@ -132,9 +134,8 @@ func (c *Canary[T]) Start() error {
 	for _, id := range c.stables {
 		id := id
 		c.fl.Exec(id, func(sh *fleet.Shard[T]) error {
-			w := observe.NewWindow(c.slo.Windows)
-			w.Reset(sh.Col.Totals())
-			c.wins[id] = w
+			c.wins[id] = &observe.Window{}
+			c.wins[id].Reset(sh.Col.Totals())
 			return nil
 		})
 	}
@@ -161,23 +162,16 @@ func (c *Canary[T]) Observe() Decision {
 			return nil
 		})
 	}
-	if died {
-		return Rollback
-	}
 	for _, id := range c.canaries {
 		canS.Add(c.wins[id].Current())
 	}
 	for _, id := range c.stables {
 		stS.Add(c.wins[id].Current())
 	}
-	switch c.slo.Judge(canS, stS) {
+	switch c.trial.Step(canS, stS, canaryMinCalls, died) {
 	case observe.Breaching:
 		return Rollback
-	case observe.Inconclusive:
-		return Pending
-	}
-	c.healthy++
-	if c.healthy >= c.slo.PromoteAfter {
+	case observe.Meeting:
 		return Promote
 	}
 	return Pending
@@ -220,7 +214,8 @@ func (c *Canary[T]) Promote() error {
 
 // Rollback restores every canary shard to its pre-apply snapshot,
 // verifies the restore left zero residue, and restores the original
-// policies. The verification result is available via RollbackVerified.
+// policies. It returns the verification errors joined (nil when every
+// restored shard matched its pre-apply snapshot word for word).
 func (c *Canary[T]) Rollback() error {
 	if c.done {
 		return fmt.Errorf("reconfigure: trial already finished")
@@ -229,11 +224,6 @@ func (c *Canary[T]) Rollback() error {
 	c.done = true
 	return errors.Join(c.verifyErrs...)
 }
-
-// RollbackVerified returns the snapshot-identity verification errors
-// collected during rollback (nil when every restored shard matched its
-// pre-apply snapshot word for word).
-func (c *Canary[T]) RollbackVerified() error { return errors.Join(c.verifyErrs...) }
 
 // rollbackCanaries restores every shard the plan was applied to: the
 // canaries, plus any stable shard a failed Promote already reached.

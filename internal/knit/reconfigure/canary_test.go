@@ -5,7 +5,6 @@ import (
 
 	"knit/internal/knit/build"
 	"knit/internal/knit/fleet"
-	"knit/internal/knit/observe"
 )
 
 // chainFleet boots a fleet whose handler serves one c.get call per item
@@ -39,10 +38,6 @@ func feed(fl *fleet.Fleet[int], flows int) {
 	}
 }
 
-func testSLO() observe.SLO {
-	return observe.SLO{MinCalls: 16, Windows: 2, PromoteAfter: 2}
-}
-
 func TestCanaryPromote(t *testing.T) {
 	res := buildChain(t, "B")
 	fl := chainFleet(t, res, 4)
@@ -51,7 +46,7 @@ func TestCanaryPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCanary(fl, plan, 0.25, testSLO())
+	c, err := NewCanary(fl, plan, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +101,7 @@ func TestCanaryRollbackOnSLOBreach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCanary(fl, plan, 0.25, testSLO())
+	c, err := NewCanary(fl, plan, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +118,6 @@ func TestCanaryRollbackOnSLOBreach(t *testing.T) {
 		t.Fatalf("decision = %v, want rollback", decision)
 	}
 	if err := c.Rollback(); err != nil {
-		t.Fatalf("Rollback: %v", err)
-	}
-	if err := c.RollbackVerified(); err != nil {
 		t.Fatalf("rollback not snapshot-identical: %v", err)
 	}
 	// The canary shard serves the original pipeline again, with no
@@ -160,7 +152,7 @@ func TestCanaryStartFailureLeavesFleetUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCanary(fl, plan, 0.5, testSLO())
+	c, err := NewCanary(fl, plan, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +184,7 @@ func TestCanaryNeedsTwoShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCanary(fl, plan, 0.5, observe.SLO{}); err == nil {
+	if _, err := NewCanary(fl, plan, 0.5); err == nil {
 		t.Fatal("NewCanary accepted a one-shard fleet")
 	}
 }

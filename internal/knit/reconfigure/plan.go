@@ -72,10 +72,8 @@ type Plan struct {
 	res *build.Result
 	tgt Target
 
-	reg    *link.Registry
-	prog   *link.Program
-	sched  *sched.Schedule
-	report *constraint.Report
+	reg  *link.Registry
+	prog *link.Program
 
 	unchanged []slotChange
 	replaces  []slotChange
@@ -113,18 +111,15 @@ func Diff(res *build.Result, tgt Target) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}
-	sc, err := sched.Compute(prog)
-	if err != nil {
+	if _, err := sched.Compute(prog); err != nil {
 		return nil, fmt.Errorf("reconfigure: target: %w", err)
 	}
-	p := &Plan{res: res, tgt: tgt, reg: reg, prog: prog, sched: sc}
 	if tgt.Check {
-		report, err := constraint.Check(prog)
-		if err != nil {
+		if _, err := constraint.Check(prog); err != nil {
 			return nil, fmt.Errorf("reconfigure: target rejected: %w", err)
 		}
-		p.report = report
 	}
+	p := &Plan{res: res, tgt: tgt, reg: reg, prog: prog}
 	if err := p.classify(); err != nil {
 		return nil, err
 	}
@@ -458,17 +453,6 @@ func (p *Plan) NoOp() bool {
 	return len(p.replaces) == 0 && len(p.adds) == 0 &&
 		len(p.retires) == 0 && len(p.exportRewires) == 0
 }
-
-// Program returns the elaborated target program (for inspection and for
-// cold-build comparison in tests).
-func (p *Plan) Program() *link.Program { return p.prog }
-
-// Schedule returns the target program's init/fini schedule.
-func (p *Plan) Schedule() *sched.Schedule { return p.sched }
-
-// ConstraintReport returns the target's constraint report (nil unless
-// Target.Check was set).
-func (p *Plan) ConstraintReport() *constraint.Report { return p.report }
 
 // Steps lists the planned operations in execution order: each slot's
 // load is followed immediately by the interpositions that hand it the

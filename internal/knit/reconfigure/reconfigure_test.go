@@ -460,14 +460,15 @@ func TestApplyFailingInitRollsBack(t *testing.T) {
 	}
 }
 
-func TestRewireHookTracesPlanSteps(t *testing.T) {
+// TestApplyFootprintAndRollback pins down exactly which steps a
+// one-slot plan takes on a machine: one module loaded and one redirect
+// installed; a snapshot rollback removes both.
+func TestApplyFootprintAndRollback(t *testing.T) {
 	res := buildChain(t, "B")
 	m := res.NewMachine()
 	if err := res.RunInit(m); err != nil {
 		t.Fatal(err)
 	}
-	var ops []string
-	m.RewireHook = func(op, sym, target string) { ops = append(ops, op) }
 	plan, err := Diff(res, target("B2"))
 	if err != nil {
 		t.Fatal(err)
@@ -476,17 +477,20 @@ func TestRewireHookTracesPlanSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, op := range ops {
-		counts[op]++
+	if mods := a.Modules(); len(mods) != 1 {
+		t.Fatalf("apply loaded modules %v, want one", mods)
 	}
-	if counts["load"] != 1 || counts["interpose"] != 1 {
-		t.Fatalf("hook saw %v, want one load and one interpose", counts)
+	if len(a.Anchors) != 1 || m.Interposed(a.Anchors[0]) == "" {
+		t.Fatalf("apply installed anchors %v, want one live redirect", a.Anchors)
 	}
-	ops = nil
 	a.Rollback()
-	_ = a.VerifyRolledBack()
-	if len(ops) != 0 {
-		t.Fatalf("snapshot rollback fired rewire ops %v; Restore is wholesale, not stepwise", ops)
+	if err := a.VerifyRolledBack(); err != nil {
+		t.Fatal(err)
+	}
+	if mods := m.DynModules(); len(mods) != 0 {
+		t.Fatalf("modules %v survive rollback, want none", mods)
+	}
+	if to := m.Interposed(a.Anchors[0]); to != "" {
+		t.Fatalf("redirect %s -> %s survives rollback", a.Anchors[0], to)
 	}
 }

@@ -171,9 +171,6 @@ func (s *Supervisor) SetPolicy(pol *Policy) {
 	s.rng = rand.New(rand.NewSource(pol.JitterSeed))
 }
 
-// Policy returns the supervisor's current policy.
-func (s *Supervisor) Policy() *Policy { return s.pol }
-
 // Reset clears the supervisor's per-instance health book — failure
 // windows, backoff states, fallback aliases — as if supervision had just
 // begun. The decision log and recovery records are kept. Call it after a

@@ -263,9 +263,6 @@ func (m *M) LoadDynamicAs(name, owner string, o *obj.File, data any) error {
 	// New definitions can satisfy call sites previously resolved to a
 	// builtin or to undefined; drop the compiled dispatch caches.
 	m.dispVersion++
-	if m.RewireHook != nil {
-		m.RewireHook("load", name, "")
-	}
 	return nil
 }
 
@@ -412,9 +409,6 @@ func (m *M) UnloadDynamic(name string) error {
 	// to identical code — their symbol addresses never move.
 	m.dynCompiled = nil
 	m.dispVersion++
-	if m.RewireHook != nil {
-		m.RewireHook("unload", name, "")
-	}
 	return nil
 }
 

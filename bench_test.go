@@ -8,6 +8,8 @@
 package knit
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -243,6 +245,35 @@ func BenchmarkCompileRouterElementsSeparate(b *testing.B) {
 		for name, src := range srcs {
 			mustCompile(b, name, src)
 		}
+	}
+}
+
+// BenchmarkCompileStraightLine compiles one straight-line function of
+// n "s += pool[i]" statements (the shape of the router's os_work) at two
+// sizes. Every compiler pass is linear in the block length, so the 1280
+// run costs about 4x the 320 run (5-6x on a 2-vCPU host, where the
+// larger code slices add allocation and GC work); about 16x means a
+// pass has gone quadratic again.
+func BenchmarkCompileStraightLine(b *testing.B) {
+	for _, n := range []int{320, 1280} {
+		var src strings.Builder
+		fmt.Fprintf(&src, "static int pool[%d];\nint work(void) {\n    int s = 0;\n", n)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, "    s += pool[%d];\n", i)
+		}
+		src.WriteString("    return s;\n}\n")
+		f, err := cmini.Parse("work.c", src.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// Compile lowers from the AST and leaves it untouched.
+				if _, err := compile.Compile(f, compile.Options{Opt: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,61 +13,89 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parser is a recursive-descent parser for cmini.
+// Parser is a recursive-descent parser for cmini. It pulls tokens from
+// the lexer as it goes, holding at most three (the current token and two
+// of lookahead) rather than the whole token stream.
 type Parser struct {
-	toks []Token
-	pos  int
-	file string
+	lx   *Lexer
+	la   [3]Token // la[:n] are lexed but not yet consumed; n >= 1
+	n    int
+	err  error // lexical error that ended the token stream
+	done bool  // the lexer hit EOF or err
 }
 
-// Parse parses a cmini source file.
+// Parse parses a cmini source file. A lexical error anywhere in the
+// file is reported in preference to a syntax error.
 func Parse(file, src string) (*File, error) {
-	toks, err := LexAll(file, src)
+	p := &Parser{lx: NewLexer(file, src), n: 1}
+	p.fill(&p.la[0])
+	f := &File{Name: file}
+	var err error
+	for err == nil && !p.atEOF() {
+		var d Decl
+		if d, err = p.parseTopDecl(); err == nil {
+			f.Decls = append(f.Decls, d)
+		}
+	}
+	var rest Token
+	for !p.done {
+		p.fill(&rest)
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
-	}
-	p := &Parser{toks: toks, file: file}
-	f := &File{Name: file}
-	for !p.atEOF() {
-		d, err := p.parseTopDecl()
-		if err != nil {
-			return nil, err
-		}
-		f.Decls = append(f.Decls, d)
 	}
 	return f, nil
 }
 
-func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
-
-func (p *Parser) cur() Token {
-	if p.atEOF() {
-		last := Pos{File: p.file, Line: 1, Col: 1}
-		if len(p.toks) > 0 {
-			last = p.toks[len(p.toks)-1].Pos
+// fill stores the next token in t, or EOF at the last token's position
+// once input or a lexical error has ended the stream.
+func (p *Parser) fill(t *Token) {
+	if !p.done {
+		err := p.lx.scan(t)
+		if err == nil && t.Kind != EOF {
+			return
 		}
-		return Token{Kind: EOF, Pos: last}
+		p.err, p.done = err, true
 	}
-	return p.toks[p.pos]
+	*t = Token{Kind: EOF, Pos: p.lx.lastPos()}
 }
 
+func (p *Parser) atEOF() bool { return p.kind() == EOF }
+
+func (p *Parser) cur() Token { return p.la[0] }
+
+// kind is the current token's kind.
+func (p *Parser) kind() Tok { return p.la[0].Kind }
+
 func (p *Parser) peekKind(ahead int) Tok {
-	i := p.pos + ahead
-	if i >= len(p.toks) {
-		return EOF
+	for ; p.n <= ahead; p.n++ {
+		p.fill(&p.la[p.n])
 	}
-	return p.toks[i].Kind
+	return p.la[ahead].Kind
 }
 
 func (p *Parser) next() Token {
-	t := p.cur()
-	p.pos++
+	t := p.la[0]
+	p.advance()
 	return t
 }
 
+// advance drops the current token.
+func (p *Parser) advance() {
+	if p.n--; p.n == 0 {
+		p.fill(&p.la[0])
+		p.n = 1
+	} else {
+		copy(p.la[:], p.la[1:p.n+1])
+	}
+}
+
 func (p *Parser) accept(k Tok) bool {
-	if p.cur().Kind == k {
-		p.pos++
+	if p.kind() == k {
+		p.advance()
 		return true
 	}
 	return false
@@ -78,7 +106,7 @@ func (p *Parser) expect(k Tok) (Token, error) {
 	if t.Kind != k {
 		return t, p.errorf("expected %s, found %s", k, describe(t))
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -99,7 +127,7 @@ func (p *Parser) errorf(format string, args ...any) error {
 
 // isTypeStart reports whether the current token can begin a type.
 func (p *Parser) isTypeStart() bool {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case KwInt, KwChar, KwVoid, KwFn, KwStruct:
 		return true
 	}
@@ -110,21 +138,21 @@ func (p *Parser) isTypeStart() bool {
 // "struct pkt *", "fn", "void *".
 func (p *Parser) parseType() (Type, error) {
 	var t Type
-	switch p.cur().Kind {
+	switch p.kind() {
 	case KwInt:
-		p.next()
+		p.advance()
 		t = TypeInt
 	case KwChar:
-		p.next()
+		p.advance()
 		t = TypeChar
 	case KwVoid:
-		p.next()
+		p.advance()
 		t = TypeVoid
 	case KwFn:
-		p.next()
+		p.advance()
 		t = TypeFn
 	case KwStruct:
-		p.next()
+		p.advance()
 		name, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
@@ -142,7 +170,7 @@ func (p *Parser) parseType() (Type, error) {
 func (p *Parser) parseTopDecl() (Decl, error) {
 	start := p.cur().Pos
 	// struct definition: "struct Name { ... };"
-	if p.cur().Kind == KwStruct && p.peekKind(1) == IDENT && p.peekKind(2) == LBRACE {
+	if p.kind() == KwStruct && p.peekKind(1) == IDENT && p.peekKind(2) == LBRACE {
 		return p.parseStructDecl()
 	}
 	static := false
@@ -169,7 +197,7 @@ func (p *Parser) parseTopDecl() (Decl, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == LPAREN {
+	if p.kind() == LPAREN {
 		return p.parseFuncRest(start, typ, name.Lit, static, extern)
 	}
 	return p.parseVarRest(start, typ, name.Lit, static, extern)
@@ -177,7 +205,7 @@ func (p *Parser) parseTopDecl() (Decl, error) {
 
 func (p *Parser) parseStructDecl() (Decl, error) {
 	start := p.cur().Pos
-	p.next() // struct
+	p.advance() // struct
 	name := p.next()
 	if _, err := p.expect(LBRACE); err != nil {
 		return nil, err
@@ -255,12 +283,12 @@ func (p *Parser) parseVarRest(start Pos, typ Type, name string, static, extern b
 }
 
 func (p *Parser) parseFuncRest(start Pos, result Type, name string, static, extern bool) (Decl, error) {
-	p.next() // (
+	p.advance() // (
 	var params []Param
 	if !p.accept(RPAREN) {
-		if p.cur().Kind == KwVoid && p.peekKind(1) == RPAREN {
-			p.next() // void
-			p.next() // )
+		if p.kind() == KwVoid && p.peekKind(1) == RPAREN {
+			p.advance() // void
+			p.advance() // )
 		} else {
 			for {
 				pt, err := p.parseType()
@@ -323,13 +351,13 @@ func (p *Parser) parseBlock() (*Block, error) {
 
 func (p *Parser) parseStmt() (Stmt, error) {
 	start := p.cur().Pos
-	switch p.cur().Kind {
+	switch p.kind() {
 	case LBRACE:
 		return p.parseBlock()
 	case KwIf:
 		return p.parseIf()
 	case KwWhile:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LPAREN); err != nil {
 			return nil, err
 		}
@@ -348,9 +376,9 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case KwFor:
 		return p.parseFor()
 	case KwReturn:
-		p.next()
+		p.advance()
 		s := &ReturnStmt{Pos: start}
-		if p.cur().Kind != SEMI {
+		if p.kind() != SEMI {
 			x, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -362,13 +390,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		}
 		return s, nil
 	case KwBreak:
-		p.next()
+		p.advance()
 		if _, err := p.expect(SEMI); err != nil {
 			return nil, err
 		}
 		return &BreakStmt{Pos: start}, nil
 	case KwContinue:
-		p.next()
+		p.advance()
 		if _, err := p.expect(SEMI); err != nil {
 			return nil, err
 		}
@@ -427,7 +455,7 @@ func (p *Parser) parseDeclStmt() (Stmt, error) {
 
 func (p *Parser) parseIf() (Stmt, error) {
 	start := p.cur().Pos
-	p.next() // if
+	p.advance() // if
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
@@ -444,7 +472,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	}
 	s := &IfStmt{Pos: start, Cond: cond, Then: then}
 	if p.accept(KwElse) {
-		if p.cur().Kind == KwIf {
+		if p.kind() == KwIf {
 			elseIf, err := p.parseIf()
 			if err != nil {
 				return nil, err
@@ -463,7 +491,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 
 func (p *Parser) parseFor() (Stmt, error) {
 	start := p.cur().Pos
-	p.next() // for
+	p.advance() // for
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
@@ -516,7 +544,9 @@ func (p *Parser) parseFor() (Stmt, error) {
 
 // Expression parsing: precedence climbing.
 
-var binPrec = map[Tok]int{
+// binPrec is each binary operator's precedence, indexed by token; zero
+// for tokens that are not binary operators.
+var binPrec = [...]int{
 	LOR:   1,
 	LAND:  2,
 	PIPE:  3,
@@ -529,11 +559,6 @@ var binPrec = map[Tok]int{
 	STAR: 10, SLASH: 10, PERCENT: 10,
 }
 
-var compoundOps = map[Tok]Tok{
-	ADDEQ: PLUS, SUBEQ: MINUS, MULEQ: STAR, DIVEQ: SLASH, MODEQ: PERCENT,
-	ANDEQ: AMP, OREQ: PIPE, XOREQ: CARET, SHLEQ: SHL, SHREQ: SHR,
-}
-
 func (p *Parser) parseExpr() (Expr, error) { return p.parseAssign() }
 
 func (p *Parser) parseAssign() (Expr, error) {
@@ -541,19 +566,8 @@ func (p *Parser) parseAssign() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := p.cur().Kind
-	if k == ASSIGN {
-		pos := p.next().Pos
-		rhs, err := p.parseAssign()
-		if err != nil {
-			return nil, err
-		}
-		if !isLvalue(lhs) {
-			return nil, &ParseError{Pos: pos, Msg: "left side of assignment is not assignable"}
-		}
-		return &Assign{Pos: pos, Op: ASSIGN, LHS: lhs, RHS: rhs}, nil
-	}
-	if _, ok := compoundOps[k]; ok {
+	// ASSIGN and the compound assignments ADDEQ..SHREQ are contiguous.
+	if k := p.kind(); k >= ASSIGN && k <= SHREQ {
 		pos := p.next().Pos
 		rhs, err := p.parseAssign()
 		if err != nil {
@@ -582,7 +596,7 @@ func (p *Parser) parseCond() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == QUESTION {
+	if p.kind() == QUESTION {
 		pos := p.next().Pos
 		then, err := p.parseExpr()
 		if err != nil {
@@ -606,9 +620,12 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		op := p.cur().Kind
-		prec, ok := binPrec[op]
-		if !ok || prec < minPrec {
+		op := p.kind()
+		prec := 0
+		if int(op) < len(binPrec) {
+			prec = binPrec[op]
+		}
+		if prec < minPrec { // minPrec >= 1 also stops at non-operators
 			return lhs, nil
 		}
 		pos := p.next().Pos
@@ -624,7 +641,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case MINUS, NOT, TILDE, STAR, AMP:
-		p.next()
+		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -634,7 +651,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		}
 		return &Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
 	case KwSizeof:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LPAREN); err != nil {
 			return nil, err
 		}
@@ -669,7 +686,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		t := p.cur()
 		switch t.Kind {
 		case LPAREN:
-			p.next()
+			p.advance()
 			var args []Expr
 			if !p.accept(RPAREN) {
 				for {
@@ -689,7 +706,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			}
 			x = &Call{Pos: t.Pos, Fun: x, Args: args}
 		case LBRACK:
-			p.next()
+			p.advance()
 			i, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -699,21 +716,21 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			}
 			x = &Index{Pos: t.Pos, X: x, I: i}
 		case ARROW:
-			p.next()
+			p.advance()
 			name, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
 			x = &Member{Pos: t.Pos, X: x, Name: name.Lit, Arrow: true}
 		case DOT:
-			p.next()
+			p.advance()
 			name, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
 			x = &Member{Pos: t.Pos, X: x, Name: name.Lit}
 		case INC, DEC:
-			p.next()
+			p.advance()
 			if !isLvalue(x) {
 				return nil, &ParseError{Pos: t.Pos, Msg: "operand of ++/-- is not assignable"}
 			}
@@ -728,26 +745,26 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case INT:
-		p.next()
+		p.advance()
 		v, err := strconv.ParseInt(t.Lit, 0, 64)
 		if err != nil {
 			return nil, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("invalid integer literal %q", t.Lit)}
 		}
 		return &IntLit{Pos: t.Pos, Val: v}, nil
 	case CHAR:
-		p.next()
+		p.advance()
 		return &IntLit{Pos: t.Pos, Val: int64(t.Lit[0])}, nil
 	case STRING:
-		p.next()
+		p.advance()
 		return &StrLit{Pos: t.Pos, Val: t.Lit}, nil
 	case KwNull:
-		p.next()
+		p.advance()
 		return &IntLit{Pos: t.Pos, Val: 0}, nil
 	case IDENT:
-		p.next()
+		p.advance()
 		return &Ident{Pos: t.Pos, Name: t.Lit}, nil
 	case LPAREN:
-		p.next()
+		p.advance()
 		x, err := p.parseExpr()
 		if err != nil {
 			return nil, err

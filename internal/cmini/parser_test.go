@@ -221,6 +221,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad array len", "int a[0];", "invalid array length"},
 		{"dup struct field", "struct s { int a; int a; };", "duplicate field"},
 		{"garbage", "$$$", "unexpected character"},
+		// A lexical error anywhere wins over an earlier syntax error,
+		// and fails a file whose tokens before it parse.
+		{"lex error after syntax error", "int f( { }\n$", "unexpected character"},
+		{"lex error after declaration", "int x;\n'", "unterminated char"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -169,108 +169,17 @@ func RenameGlobals(f *File, mapping map[string]string) {
 			if to, ok := mapping[d.Name]; ok {
 				d.Name = to
 			}
-			renameExpr(d.Init, mapping, map[string]bool{})
 		case *FuncDecl:
 			if to, ok := mapping[d.Name]; ok {
 				d.Name = to
 			}
-			scope := map[string]bool{}
-			for _, p := range d.Params {
-				scope[p.Name] = true
-			}
-			renameBlock(d.Body, mapping, scope)
 		}
 	}
-}
-
-// renameBlock rewrites idents in b. scope holds names shadowed by locals;
-// it is copied per block so shadowing is lexical.
-func renameBlock(b *Block, mapping map[string]string, scope map[string]bool) {
-	if b == nil {
-		return
-	}
-	inner := copyScope(scope)
-	for _, s := range b.Stmts {
-		renameStmt(s, mapping, inner)
-	}
-}
-
-func copyScope(scope map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(scope))
-	for k := range scope {
-		out[k] = true
-	}
-	return out
-}
-
-func renameStmt(s Stmt, mapping map[string]string, scope map[string]bool) {
-	switch s := s.(type) {
-	case *Block:
-		renameBlock(s, mapping, scope)
-	case *DeclStmt:
-		renameExpr(s.Init, mapping, scope)
-		scope[s.Name] = true // shadows the global from here on
-	case *ExprStmt:
-		renameExpr(s.X, mapping, scope)
-	case *IfStmt:
-		renameExpr(s.Cond, mapping, scope)
-		renameBlock(s.Then, mapping, scope)
-		if s.Else != nil {
-			renameStmt(s.Else, mapping, scope)
+	WalkGlobalRefs(f, func(id *Ident) {
+		if to, ok := mapping[id.Name]; ok {
+			id.Name = to
 		}
-	case *WhileStmt:
-		renameExpr(s.Cond, mapping, scope)
-		renameBlock(s.Body, mapping, scope)
-	case *ForStmt:
-		forScope := copyScope(scope)
-		if s.Init != nil {
-			renameStmt(s.Init, mapping, forScope)
-		}
-		renameExpr(s.Cond, mapping, forScope)
-		renameExpr(s.Post, mapping, forScope)
-		renameBlock(s.Body, mapping, forScope)
-	case *ReturnStmt:
-		renameExpr(s.X, mapping, scope)
-	}
-}
-
-func renameExpr(e Expr, mapping map[string]string, scope map[string]bool) {
-	if e == nil {
-		return
-	}
-	switch e := e.(type) {
-	case *Ident:
-		if scope[e.Name] {
-			return
-		}
-		if to, ok := mapping[e.Name]; ok {
-			e.Name = to
-		}
-	case *Unary:
-		renameExpr(e.X, mapping, scope)
-	case *Binary:
-		renameExpr(e.X, mapping, scope)
-		renameExpr(e.Y, mapping, scope)
-	case *Assign:
-		renameExpr(e.LHS, mapping, scope)
-		renameExpr(e.RHS, mapping, scope)
-	case *IncDec:
-		renameExpr(e.X, mapping, scope)
-	case *Call:
-		renameExpr(e.Fun, mapping, scope)
-		for _, a := range e.Args {
-			renameExpr(a, mapping, scope)
-		}
-	case *Index:
-		renameExpr(e.X, mapping, scope)
-		renameExpr(e.I, mapping, scope)
-	case *Member:
-		renameExpr(e.X, mapping, scope)
-	case *Cond:
-		renameExpr(e.C, mapping, scope)
-		renameExpr(e.Then, mapping, scope)
-		renameExpr(e.Else, mapping, scope)
-	}
+	})
 }
 
 // GlobalRefs returns the set of global names referenced from function
@@ -279,97 +188,121 @@ func renameExpr(e Expr, mapping map[string]string, scope map[string]bool) {
 // which are imports and which resolve within the file.
 func GlobalRefs(f *File) map[string]bool {
 	refs := map[string]bool{}
-	collect := func(e Expr, scope map[string]bool) {
-		collectRefs(e, scope, refs)
-	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *VarDecl:
-			collect(d.Init, map[string]bool{})
-		case *FuncDecl:
-			scope := map[string]bool{}
-			for _, p := range d.Params {
-				scope[p.Name] = true
-			}
-			collectBlock(d.Body, scope, refs)
-		}
-	}
+	WalkGlobalRefs(f, func(id *Ident) { refs[id.Name] = true })
 	return refs
 }
 
-func collectBlock(b *Block, scope map[string]bool, refs map[string]bool) {
+// WalkGlobalRefs calls visit, in source order, on every Ident in the
+// function bodies and initializer expressions of f that names a global:
+// every one not shadowed by a local or parameter. visit may rename the
+// Ident in place.
+func WalkGlobalRefs(f *File, visit func(*Ident)) {
+	w := refWalker{visit: visit}
+	for _, d := range f.Decls {
+		w.locals = w.locals[:0]
+		switch d := d.(type) {
+		case *VarDecl:
+			w.expr(d.Init)
+		case *FuncDecl:
+			for _, p := range d.Params {
+				w.locals = append(w.locals, p.Name)
+			}
+			w.block(d.Body)
+		}
+	}
+}
+
+// refWalker tracks the locals in scope as a stack: a block or for
+// statement pops what it declared on exit, so shadowing is lexical.
+type refWalker struct {
+	visit  func(*Ident)
+	locals []string
+}
+
+func (w *refWalker) shadowed(name string) bool {
+	for _, l := range w.locals {
+		if l == name {
+			return true
+		}
+	}
+	return false
+}
+
+func (w *refWalker) block(b *Block) {
 	if b == nil {
 		return
 	}
-	inner := copyScope(scope)
+	n := len(w.locals)
 	for _, s := range b.Stmts {
-		collectStmt(s, inner, refs)
+		w.stmt(s)
 	}
+	w.locals = w.locals[:n]
 }
 
-func collectStmt(s Stmt, scope map[string]bool, refs map[string]bool) {
+func (w *refWalker) stmt(s Stmt) {
 	switch s := s.(type) {
 	case *Block:
-		collectBlock(s, scope, refs)
+		w.block(s)
 	case *DeclStmt:
-		collectRefs(s.Init, scope, refs)
-		scope[s.Name] = true
+		w.expr(s.Init)
+		w.locals = append(w.locals, s.Name) // shadows the global from here on
 	case *ExprStmt:
-		collectRefs(s.X, scope, refs)
+		w.expr(s.X)
 	case *IfStmt:
-		collectRefs(s.Cond, scope, refs)
-		collectBlock(s.Then, scope, refs)
+		w.expr(s.Cond)
+		w.block(s.Then)
 		if s.Else != nil {
-			collectStmt(s.Else, scope, refs)
+			w.stmt(s.Else)
 		}
 	case *WhileStmt:
-		collectRefs(s.Cond, scope, refs)
-		collectBlock(s.Body, scope, refs)
+		w.expr(s.Cond)
+		w.block(s.Body)
 	case *ForStmt:
-		forScope := copyScope(scope)
+		n := len(w.locals)
 		if s.Init != nil {
-			collectStmt(s.Init, forScope, refs)
+			w.stmt(s.Init)
 		}
-		collectRefs(s.Cond, forScope, refs)
-		collectRefs(s.Post, forScope, refs)
-		collectBlock(s.Body, forScope, refs)
+		w.expr(s.Cond)
+		w.expr(s.Post)
+		w.block(s.Body)
+		w.locals = w.locals[:n]
 	case *ReturnStmt:
-		collectRefs(s.X, scope, refs)
+		w.expr(s.X)
 	}
 }
 
-func collectRefs(e Expr, scope map[string]bool, refs map[string]bool) {
+func (w *refWalker) expr(e Expr) {
 	if e == nil {
 		return
 	}
 	switch e := e.(type) {
 	case *Ident:
-		if !scope[e.Name] {
-			refs[e.Name] = true
+		if !w.shadowed(e.Name) {
+			w.visit(e)
 		}
 	case *Unary:
-		collectRefs(e.X, scope, refs)
+		w.expr(e.X)
 	case *Binary:
-		collectRefs(e.X, scope, refs)
-		collectRefs(e.Y, scope, refs)
+		w.expr(e.X)
+		w.expr(e.Y)
 	case *Assign:
-		collectRefs(e.LHS, scope, refs)
-		collectRefs(e.RHS, scope, refs)
+		w.expr(e.LHS)
+		w.expr(e.RHS)
 	case *IncDec:
-		collectRefs(e.X, scope, refs)
+		w.expr(e.X)
 	case *Call:
-		collectRefs(e.Fun, scope, refs)
+		w.expr(e.Fun)
 		for _, a := range e.Args {
-			collectRefs(a, scope, refs)
+			w.expr(a)
 		}
 	case *Index:
-		collectRefs(e.X, scope, refs)
-		collectRefs(e.I, scope, refs)
+		w.expr(e.X)
+		w.expr(e.I)
 	case *Member:
-		collectRefs(e.X, scope, refs)
+		w.expr(e.X)
 	case *Cond:
-		collectRefs(e.C, scope, refs)
-		collectRefs(e.Then, scope, refs)
-		collectRefs(e.Else, scope, refs)
+		w.expr(e.C)
+		w.expr(e.Then)
+		w.expr(e.Else)
 	}
 }

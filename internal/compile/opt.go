@@ -2,6 +2,8 @@ package compile
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"knit/internal/cmini"
 	"knit/internal/obj"
@@ -58,53 +60,53 @@ func blockLeaders(fn *obj.Func) []bool {
 type vnKey struct {
 	op   obj.Op
 	tok  int
-	a, b int // value numbers of operands
+	a, b int32 // value numbers of operands
 	imm  int64
 	sym  string
 }
 
-// vnState is the value-numbering state at a program point.
-type vnState struct {
-	regVN    map[obj.Reg]int
-	constVal map[int]int64
-	hasConst map[int]bool
-	exprVN   map[vnKey]int
-	vnReg    map[int]obj.Reg
-	loadVNs  map[vnKey]bool
+// vnFact is what is fixed about a value number when it is created: the
+// register it was computed into (its home, while that register still
+// holds it) and its constant value, if it has one.
+type vnFact struct {
+	def     obj.Reg
+	isConst bool
+	val     int64
 }
 
-func newVNState() *vnState {
+// vnState is the value-numbering state at a program point. Value
+// number 0 means "none": regVN[r] == 0 is a register not yet seen, and
+// home[r] == 0 a register that is no value number's live home.
+type vnState struct {
+	regVN  []int32 // register -> value number it holds
+	home   []int32 // register -> value number it is the live home of
+	exprVN map[vnKey]int32
+	loads  []vnKey // exprVN keys of loads, dropped by stores and calls
+}
+
+func newVNState(nregs int) *vnState {
 	return &vnState{
-		regVN:    map[obj.Reg]int{},
-		constVal: map[int]int64{},
-		hasConst: map[int]bool{},
-		exprVN:   map[vnKey]int{},
-		vnReg:    map[int]obj.Reg{},
-		loadVNs:  map[vnKey]bool{},
+		regVN:  make([]int32, nregs),
+		home:   make([]int32, nregs),
+		exprVN: map[vnKey]int32{},
 	}
 }
 
 func (s *vnState) clone() *vnState {
-	cp := newVNState()
-	for k, v := range s.regVN {
-		cp.regVN[k] = v
+	return &vnState{
+		regVN:  slices.Clone(s.regVN),
+		home:   slices.Clone(s.home),
+		exprVN: maps.Clone(s.exprVN),
+		loads:  slices.Clone(s.loads),
 	}
-	for k, v := range s.constVal {
-		cp.constVal[k] = v
-	}
-	for k, v := range s.hasConst {
-		cp.hasConst[k] = v
-	}
-	for k, v := range s.exprVN {
-		cp.exprVN[k] = v
-	}
-	for k, v := range s.vnReg {
-		cp.vnReg[k] = v
-	}
-	for k, v := range s.loadVNs {
-		cp.loadVNs[k] = v
-	}
-	return cp
+}
+
+// reset empties s for reuse as a fresh state.
+func (s *vnState) reset() {
+	clear(s.regVN)
+	clear(s.home)
+	clear(s.exprVN)
+	s.loads = s.loads[:0]
 }
 
 // valueNumber performs extended-basic-block value numbering: it folds
@@ -115,6 +117,10 @@ func (s *vnState) clone() *vnState {
 // (a flattened component pipeline) share subexpressions across blocks.
 // This is the pass that, after flattening + inlining, "eliminates
 // redundant reads via common subexpression elimination" (§6).
+//
+// Every step is constant time per instruction: a value number's home is
+// the register it was computed into, live while home[def] still names
+// it, so redefining a register clears one slot.
 func valueNumber(fn *obj.Func) {
 	leaders := blockLeaders(fn)
 	// Identify blocks and predecessor counts.
@@ -161,139 +167,155 @@ func valueNumber(fn *obj.Func) {
 			addEdge(b, blk.end)
 		}
 	}
+	// inherits[b] is the block whose end state b starts from, or -1;
+	// heirs[p] counts the blocks still to start from p's end state, so
+	// the last of them takes it over instead of copying it.
+	inherits := make([]int, len(blocks))
+	heirs := make([]int, len(blocks))
+	for b := range blocks {
+		inherits[b] = -1
+		if p := solePred[b]; predCount[b] == 1 && p >= 0 && p < b {
+			inherits[b] = p
+			heirs[p]++
+		}
+	}
 	endState := make([]*vnState, len(blocks))
+	var spare *vnState
 
-	var nextVN int
+	facts := []vnFact{{}} // indexed by value number; 0 is unused
+	newVN := func(def obj.Reg) int32 {
+		facts = append(facts, vnFact{def: def})
+		return int32(len(facts) - 1)
+	}
 	var st *vnState
-	vnOf := func(r obj.Reg) int {
-		if vn, ok := st.regVN[r]; ok {
+	vnOf := func(r obj.Reg) int32 {
+		if vn := st.regVN[r]; vn != 0 {
 			return vn
 		}
-		nextVN++
-		st.regVN[r] = nextVN
-		return nextVN
+		vn := newVN(obj.NoReg)
+		st.regVN[r] = vn
+		return vn
 	}
-	newVN := func() int { nextVN++; return nextVN }
-	killLoads := func() {
-		for k := range st.loadVNs {
-			delete(st.exprVN, k)
-			delete(st.loadVNs, k)
-		}
-	}
-	setDst := func(dst obj.Reg, key vnKey, isLoad bool) {
-		vn := newVN()
+	// define records that dst now holds vn; dst stops being the home of
+	// any other value number.
+	define := func(dst obj.Reg, vn int32) {
 		st.regVN[dst] = vn
-		st.exprVN[key] = vn
-		st.vnReg[vn] = dst
-		if isLoad {
-			st.loadVNs[key] = true
+		if st.home[dst] != vn {
+			st.home[dst] = 0
 		}
+	}
+	setDst := func(dst obj.Reg, key vnKey, isLoad bool) int32 {
+		vn := newVN(dst)
+		st.regVN[dst] = vn
+		st.home[dst] = vn
+		st.exprVN[key] = vn
+		if isLoad {
+			st.loads = append(st.loads, key)
+		}
+		return vn
 	}
 	setConst := func(dst obj.Reg, v int64) {
-		vn := newVN()
-		st.regVN[dst] = vn
-		st.constVal[vn] = v
-		st.hasConst[vn] = true
-		st.exprVN[vnKey{op: obj.OpConst, imm: v}] = vn
-		st.vnReg[vn] = dst
+		vn := setDst(dst, vnKey{op: obj.OpConst, imm: v}, false)
+		facts[vn].isConst, facts[vn].val = true, v
+	}
+	killLoads := func() {
+		for _, k := range st.loads {
+			delete(st.exprVN, k)
+		}
+		st.loads = st.loads[:0]
 	}
 	// reuse replaces the instruction with a Mov from the register that
 	// already holds the value, if one is live; it reports success.
 	reuse := func(in *obj.Instr, key vnKey) bool {
-		if vn, ok := st.exprVN[key]; ok {
-			if r, live := st.vnReg[vn]; live && r != in.Dst {
-				*in = obj.Instr{Op: obj.OpMov, Dst: in.Dst, A: r, B: obj.NoReg}
-				st.regVN[in.Dst] = vn
-				return true
-			}
+		vn, ok := st.exprVN[key]
+		if !ok {
+			return false
 		}
-		return false
+		r := facts[vn].def
+		if st.home[r] != vn || r == in.Dst {
+			return false
+		}
+		*in = obj.Instr{Op: obj.OpMov, Dst: in.Dst, A: r, B: obj.NoReg}
+		define(in.Dst, vn)
+		return true
 	}
 
 	for b := range blocks {
-		if predCount[b] == 1 && solePred[b] >= 0 && solePred[b] < b && endState[solePred[b]] != nil {
-			st = endState[solePred[b]].clone()
-		} else {
-			st = newVNState()
+		switch p := inherits[b]; {
+		case p < 0 && spare != nil:
+			st, spare = spare, nil
+			st.reset()
+		case p < 0:
+			st = newVNState(fn.NRegs)
+		case heirs[p] == 1:
+			st, endState[p] = endState[p], nil
+		default:
+			heirs[p]--
+			st = endState[p].clone()
 		}
 		for i := blocks[b].start; i < blocks[b].end; i++ {
 			in := &fn.Code[i]
 			switch in.Op {
 			case obj.OpConst:
-				key := vnKey{op: obj.OpConst, imm: in.Imm}
-				if reuse(in, key) {
-					continue
+				if !reuse(in, vnKey{op: obj.OpConst, imm: in.Imm}) {
+					setConst(in.Dst, in.Imm)
 				}
-				setConst(in.Dst, in.Imm)
 			case obj.OpMov:
-				vn := vnOf(in.A)
-				st.regVN[in.Dst] = vn
+				define(in.Dst, vnOf(in.A))
 			case obj.OpBin:
 				va, vb := vnOf(in.A), vnOf(in.B)
-				if st.hasConst[va] && st.hasConst[vb] {
-					if v, err := obj.EvalBin(cmini.Tok(in.Tok), st.constVal[va], st.constVal[vb]); err == nil {
+				if fa, fb := facts[va], facts[vb]; fa.isConst && fb.isConst {
+					if v, err := obj.EvalBin(cmini.Tok(in.Tok), fa.val, fb.val); err == nil {
 						*in = obj.Instr{Op: obj.OpConst, Dst: in.Dst, Imm: v, A: obj.NoReg, B: obj.NoReg}
 						setConst(in.Dst, v)
 						continue
 					}
 				}
 				key := vnKey{op: obj.OpBin, tok: in.Tok, a: va, b: vb}
-				if reuse(in, key) {
-					continue
+				if !reuse(in, key) {
+					setDst(in.Dst, key, false)
 				}
-				setDst(in.Dst, key, false)
 			case obj.OpUn:
 				va := vnOf(in.A)
-				if st.hasConst[va] {
-					if v, err := obj.EvalUn(cmini.Tok(in.Tok), st.constVal[va]); err == nil {
+				if fa := facts[va]; fa.isConst {
+					if v, err := obj.EvalUn(cmini.Tok(in.Tok), fa.val); err == nil {
 						*in = obj.Instr{Op: obj.OpConst, Dst: in.Dst, Imm: v, A: obj.NoReg, B: obj.NoReg}
 						setConst(in.Dst, v)
 						continue
 					}
 				}
 				key := vnKey{op: obj.OpUn, tok: in.Tok, a: va}
-				if reuse(in, key) {
-					continue
+				if !reuse(in, key) {
+					setDst(in.Dst, key, false)
 				}
-				setDst(in.Dst, key, false)
 			case obj.OpAddrGlobal:
 				key := vnKey{op: obj.OpAddrGlobal, sym: in.Sym}
-				if reuse(in, key) {
-					continue
+				if !reuse(in, key) {
+					setDst(in.Dst, key, false)
 				}
-				setDst(in.Dst, key, false)
 			case obj.OpAddrLocal, obj.OpAddrString:
 				key := vnKey{op: in.Op, imm: in.Imm}
-				if reuse(in, key) {
-					continue
+				if !reuse(in, key) {
+					setDst(in.Dst, key, false)
 				}
-				setDst(in.Dst, key, false)
 			case obj.OpLoad:
-				va := vnOf(in.A)
-				key := vnKey{op: obj.OpLoad, a: va}
-				if reuse(in, key) {
-					continue
+				key := vnKey{op: obj.OpLoad, a: vnOf(in.A)}
+				if !reuse(in, key) {
+					setDst(in.Dst, key, true)
 				}
-				setDst(in.Dst, key, true)
 			case obj.OpStore:
 				// Conservative: any store may alias any load.
 				killLoads()
 			case obj.OpCall, obj.OpCallInd:
 				killLoads()
-				st.regVN[in.Dst] = newVN()
-			}
-			// A register redefined above loses stale reverse mappings:
-			// vnReg holds the *latest* register for each vn; if Dst was the
-			// holder of an older vn, drop that mapping.
-			if defines(in.Op) {
-				for vn, r := range st.vnReg {
-					if r == in.Dst && st.regVN[in.Dst] != vn {
-						delete(st.vnReg, vn)
-					}
-				}
+				define(in.Dst, newVN(obj.NoReg))
 			}
 		}
-		endState[b] = st
+		if heirs[b] > 0 {
+			endState[b] = st
+		} else {
+			spare = st
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"knit/internal/cmini"
 	"knit/internal/machine"
+	"knit/internal/obj"
 )
 
 func compileSrc(t *testing.T, opts Options, src string) *machine.M {
@@ -296,3 +297,163 @@ func genDiffExpr(r *rand.Rand, depth int) string {
 }
 
 func exprToSrc(s string) string { return s }
+
+// ---- value numbering on hand-written IR ----
+//
+// These tests build IR directly, so each one pins exactly the register
+// reuse pattern it is about, then check both what valueNumber emits and
+// that the numbered code still computes what the original does.
+
+func irConst(dst obj.Reg, v int64) obj.Instr {
+	return obj.Instr{Op: obj.OpConst, Dst: dst, Imm: v, A: obj.NoReg, B: obj.NoReg}
+}
+
+func irMov(dst, a obj.Reg) obj.Instr {
+	return obj.Instr{Op: obj.OpMov, Dst: dst, A: a, B: obj.NoReg}
+}
+
+func irBin(dst, a obj.Reg, op cmini.Tok, b obj.Reg) obj.Instr {
+	return obj.Instr{Op: obj.OpBin, Dst: dst, A: a, B: b, Tok: int(op)}
+}
+
+func irRet(a obj.Reg) obj.Instr { return obj.Instr{Op: obj.OpRet, A: a, HasVal: true} }
+
+// irFunc is f(a, b) with a in r0 and b in r1.
+func irFunc(nregs, frame int, code ...obj.Instr) *obj.Func {
+	return &obj.Func{Name: "f", NArgs: 2, NRegs: nregs, Frame: frame, Code: code}
+}
+
+func runIR(t *testing.T, fn *obj.Func, args ...int64) int64 {
+	t.Helper()
+	f := obj.NewFile("ir")
+	f.Funcs[fn.Name] = fn
+	img, err := machine.Load(f, machine.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := machine.New(img).Run(fn.Name, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// numbered value-numbers a copy of fn and requires the copy to return
+// what fn returns for each argument pair.
+func numbered(t *testing.T, fn *obj.Func, argPairs ...[2]int64) *obj.Func {
+	t.Helper()
+	vn := fn.Clone()
+	valueNumber(vn)
+	for _, args := range argPairs {
+		if want, got := runIR(t, fn, args[0], args[1]), runIR(t, vn, args[0], args[1]); got != want {
+			t.Errorf("f%v = %d after value numbering, want %d:\n%s", args, got, want, Disasm(vn))
+		}
+	}
+	return vn
+}
+
+// wantInstr requires instruction i of fn to be want.
+func wantInstr(t *testing.T, fn *obj.Func, i int, want obj.Instr) {
+	t.Helper()
+	if got := fn.Code[i]; got.Op != want.Op || got.Dst != want.Dst || got.A != want.A ||
+		(want.Op != obj.OpMov && got.B != want.B) {
+		t.Errorf("instr %d = %+v, want %+v:\n%s", i, got, want, Disasm(fn))
+	}
+}
+
+// A register that held a value and was then redefined is not that
+// value's home any more, however the redefinition was emitted: as a
+// fresh constant, as a constant the numbering itself turned into a Mov
+// from an earlier register, or as an expression it folded.
+func TestVNRedefinedRegisterNotReused(t *testing.T) {
+	args := [][2]int64{{3, 4}, {-2, 9}}
+	// x = a+b; x = 0; y = a+b
+	fresh := numbered(t, irFunc(4, 0,
+		irBin(2, 0, cmini.PLUS, 1),
+		irConst(2, 0),
+		irBin(3, 0, cmini.PLUS, 1),
+		irRet(3)), args...)
+	wantInstr(t, fresh, 2, irBin(3, 0, cmini.PLUS, 1))
+
+	// z = 0; x = a+b; x = 0 (numbered into x = z); y = a+b
+	reused := numbered(t, irFunc(5, 0,
+		irConst(4, 0),
+		irBin(2, 0, cmini.PLUS, 1),
+		irConst(2, 0),
+		irBin(3, 0, cmini.PLUS, 1),
+		irRet(3)), args...)
+	wantInstr(t, reused, 2, irMov(2, 4))
+	wantInstr(t, reused, 3, irBin(3, 0, cmini.PLUS, 1))
+
+	// x = a+b; x = 2*3 (folded to x = 6); y = a+b
+	folded := numbered(t, irFunc(6, 0,
+		irBin(2, 0, cmini.PLUS, 1),
+		irConst(4, 2),
+		irConst(5, 3),
+		irBin(2, 4, cmini.STAR, 5),
+		irBin(3, 0, cmini.PLUS, 1),
+		irRet(3)), args...)
+	wantInstr(t, folded, 3, irConst(2, 6))
+	wantInstr(t, folded, 4, irBin(3, 0, cmini.PLUS, 1))
+}
+
+// A Mov copies a value without moving its home: the original register
+// still serves later recomputations, also after a Mov back into it.
+func TestVNMovKeepsHome(t *testing.T) {
+	fn := numbered(t, irFunc(6, 0,
+		irBin(2, 0, cmini.PLUS, 1), // home of a+b
+		irMov(3, 2),
+		irBin(4, 0, cmini.PLUS, 1), // -> r4 = r2
+		irMov(2, 3),                // same value back: still home
+		irBin(5, 0, cmini.PLUS, 1), // -> r5 = r2
+		irBin(5, 5, cmini.PLUS, 4),
+		irRet(5)), [2]int64{3, 4}, [2]int64{-7, 2})
+	wantInstr(t, fn, 2, irMov(4, 2))
+	wantInstr(t, fn, 4, irMov(5, 2))
+}
+
+// Both successors of a branch start from the branch block's state, and
+// neither sees what the other learned or redefined.
+func TestVNBranchSuccessorsIndependent(t *testing.T) {
+	fn := numbered(t, irFunc(8, 0,
+		irBin(2, 0, cmini.PLUS, 1), // 0: home of a+b
+		obj.Instr{Op: obj.OpBranch, A: 0, Targets: [2]int{2, 7}},
+		// then: redefine the home, learn a*b
+		irConst(2, 0),              // 2
+		irBin(3, 0, cmini.PLUS, 1), // 3: must recompute
+		irBin(4, 0, cmini.STAR, 1), // 4: home of a*b, in this block only
+		irBin(4, 4, cmini.PLUS, 3), // 5
+		irRet(4),                   // 6
+		// else: r2 is still the home of a+b, and r4 holds nothing
+		irBin(5, 0, cmini.PLUS, 1), // 7: -> r5 = r2
+		irBin(6, 0, cmini.STAR, 1), // 8: must compute
+		irBin(7, 5, cmini.PLUS, 6), // 9
+		irRet(7)),                  // 10
+		[2]int64{3, 4}, [2]int64{0, 4}, [2]int64{-5, 6})
+	wantInstr(t, fn, 3, irBin(3, 0, cmini.PLUS, 1))
+	wantInstr(t, fn, 7, irMov(5, 2))
+	wantInstr(t, fn, 8, irBin(6, 0, cmini.STAR, 1))
+}
+
+// A store kills every cached load, since any store may alias any load,
+// but leaves pure expressions available.
+func TestVNStoreKillsLoadsNotPure(t *testing.T) {
+	addr := obj.Instr{Op: obj.OpAddrLocal, Dst: 2, Imm: 0, A: obj.NoReg, B: obj.NoReg}
+	store := func(v obj.Reg) obj.Instr { return obj.Instr{Op: obj.OpStore, A: 2, B: v, Dst: obj.NoReg} }
+	load := func(dst obj.Reg) obj.Instr { return obj.Instr{Op: obj.OpLoad, Dst: dst, A: 2, B: obj.NoReg} }
+	fn := numbered(t, irFunc(10, 1,
+		addr,                       // 0
+		store(0),                   // 1: slot = a
+		load(3),                    // 2
+		load(4),                    // 3: -> r4 = r3
+		irBin(5, 0, cmini.PLUS, 1), // 4: home of a+b
+		store(1),                   // 5: slot = b
+		load(6),                    // 6: must reload
+		irBin(7, 0, cmini.PLUS, 1), // 7: -> r7 = r5
+		irBin(8, 6, cmini.PLUS, 7), // 8: b + (a+b)
+		irBin(9, 8, cmini.PLUS, 4), // 9: ... + a
+		irRet(9)), [2]int64{3, 4}, [2]int64{-1, 10})
+	wantInstr(t, fn, 3, irMov(4, 3))
+	wantInstr(t, fn, 6, load(6))
+	wantInstr(t, fn, 7, irMov(7, 5))
+}

@@ -77,13 +77,49 @@ func (t Tok) String() string {
 	return fmt.Sprintf("tok(%d)", int(t))
 }
 
-var keywords = map[string]Tok{
-	"bundletype": KwBundletype, "flags": KwFlags, "unit": KwUnit,
-	"imports": KwImports, "exports": KwExports, "depends": KwDepends,
-	"needs": KwNeeds, "files": KwFiles, "with": KwWith, "rename": KwRename,
-	"to": KwTo, "initializer": KwInitializer, "finalizer": KwFinalizer,
-	"for": KwFor, "constraints": KwConstraints, "link": KwLink,
-	"property": KwProperty, "type": KwType, "fallback": KwFallback,
+// keyword returns the keyword token spelled word, or IDENT.
+func keyword(word string) Tok {
+	switch word {
+	case "bundletype":
+		return KwBundletype
+	case "flags":
+		return KwFlags
+	case "unit":
+		return KwUnit
+	case "imports":
+		return KwImports
+	case "exports":
+		return KwExports
+	case "depends":
+		return KwDepends
+	case "needs":
+		return KwNeeds
+	case "files":
+		return KwFiles
+	case "with":
+		return KwWith
+	case "rename":
+		return KwRename
+	case "to":
+		return KwTo
+	case "initializer":
+		return KwInitializer
+	case "finalizer":
+		return KwFinalizer
+	case "for":
+		return KwFor
+	case "constraints":
+		return KwConstraints
+	case "link":
+		return KwLink
+	case "property":
+		return KwProperty
+	case "type":
+		return KwType
+	case "fallback":
+		return KwFallback
+	}
+	return IDENT
 }
 
 // Pos is a source position.
@@ -115,138 +151,136 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// lex tokenizes a unit file.
-func lex(file, src string) ([]Token, error) {
-	var toks []Token
-	line, col := 1, 1
-	i := 0
-	pos := func() Pos { return Pos{File: file, Line: line, Col: col} }
-	adv := func() byte {
-		c := src[i]
-		i++
-		if c == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-		return c
-	}
-	for i < len(src) {
-		c := src[i]
+// lexer tokenizes a unit file on demand.
+type lexer struct {
+	file      string
+	src       string
+	i         int // offset of the next unread byte
+	line      int
+	lineStart int // offset of the current line's first byte
+	// lastLine and lastCol locate the last token scanned.
+	lastLine, lastCol int
+}
+
+func (lx *lexer) pos() Pos {
+	return Pos{File: lx.file, Line: lx.line, Col: lx.i - lx.lineStart + 1}
+}
+
+// lastPos is the position of the last token scanned, or 1:1 if none.
+func (lx *lexer) lastPos() Pos { return Pos{File: lx.file, Line: lx.lastLine, Col: lx.lastCol} }
+
+// scan stores the next token in t, with Kind EOF at the end of the
+// input. It fills t in place: a Token is large enough that passing it
+// back by value shows in parse time.
+func (lx *lexer) scan(t *Token) error {
+	src := lx.src
+	for lx.i < len(src) {
+		c := src[lx.i]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			adv()
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				adv()
-			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '*':
-			p := pos()
-			adv()
-			adv()
-			closed := false
-			for i < len(src) {
-				if src[i] == '*' && i+1 < len(src) && src[i+1] == '/' {
-					adv()
-					adv()
-					closed = true
-					break
-				}
-				adv()
-			}
-			if !closed {
-				return nil, &Error{Pos: p, Msg: "unterminated comment"}
-			}
-		case c == '"':
-			p := pos()
-			adv()
-			var b strings.Builder
-			closed := false
-			for i < len(src) {
-				ch := adv()
-				if ch == '"' {
-					closed = true
-					break
-				}
-				if ch == '\n' {
-					return nil, &Error{Pos: p, Msg: "newline in string"}
-				}
-				b.WriteByte(ch)
-			}
-			if !closed {
-				return nil, &Error{Pos: p, Msg: "unterminated string"}
-			}
-			toks = append(toks, Token{Kind: STRING, Lit: b.String(), Pos: p})
-		case isIdentStart(c):
-			p := pos()
-			start := i
-			for i < len(src) && isIdentCont(src[i]) {
-				adv()
-			}
-			word := src[start:i]
-			if kw, ok := keywords[word]; ok {
-				toks = append(toks, Token{Kind: kw, Lit: word, Pos: p})
+		case c == '\n':
+			lx.i++
+			lx.line, lx.lineStart = lx.line+1, lx.i
+			continue
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.i++
+			continue
+		case c == '/' && lx.i+1 < len(src) && src[lx.i+1] == '/':
+			if n := strings.IndexByte(src[lx.i:], '\n'); n >= 0 {
+				lx.i += n
 			} else {
-				toks = append(toks, Token{Kind: IDENT, Lit: word, Pos: p})
+				lx.i = len(src)
 			}
+			continue
+		case c == '/' && lx.i+1 < len(src) && src[lx.i+1] == '*':
+			n := strings.Index(src[lx.i+2:], "*/")
+			if n < 0 {
+				return &Error{Pos: lx.pos(), Msg: "unterminated comment"}
+			}
+			body := src[lx.i : lx.i+2+n]
+			if nl := strings.LastIndexByte(body, '\n'); nl >= 0 {
+				lx.line += strings.Count(body, "\n")
+				lx.lineStart = lx.i + nl + 1
+			}
+			lx.i += n + 4
+			continue
+		}
+		t.Pos = lx.pos()
+		lx.lastLine, lx.lastCol = t.Pos.Line, t.Pos.Col
+		switch {
+		case c == '"':
+			start := lx.i + 1
+			n := strings.IndexAny(src[start:], "\"\n")
+			if n < 0 {
+				return &Error{Pos: t.Pos, Msg: "unterminated string"}
+			}
+			if src[start+n] == '\n' {
+				return &Error{Pos: t.Pos, Msg: "newline in string"}
+			}
+			lx.i = start + n + 1
+			t.Kind, t.Lit = STRING, src[start:start+n]
+		case isIdentStart(c):
+			start := lx.i
+			for lx.i < len(src) && isIdentCont(src[lx.i]) {
+				lx.i++
+			}
+			word := src[start:lx.i]
+			t.Kind, t.Lit = keyword(word), word
 		default:
-			p := pos()
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
+			k, n := punct(src[lx.i:])
+			if n == 0 {
+				return &Error{Pos: t.Pos, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
-			switch {
-			case two == "<-":
-				adv()
-				adv()
-				toks = append(toks, Token{Kind: LARROW, Pos: p})
-			case two == "<=":
-				adv()
-				adv()
-				toks = append(toks, Token{Kind: LE, Pos: p})
-			case two == ">=":
-				adv()
-				adv()
-				toks = append(toks, Token{Kind: GE, Pos: p})
-			default:
-				var k Tok
-				switch c {
-				case '{':
-					k = LBRACE
-				case '}':
-					k = RBRACE
-				case '[':
-					k = LBRACK
-				case ']':
-					k = RBRACK
-				case '(':
-					k = LPAREN
-				case ')':
-					k = RPAREN
-				case ';':
-					k = SEMI
-				case ',':
-					k = COMMA
-				case ':':
-					k = COLON
-				case '.':
-					k = DOT
-				case '+':
-					k = PLUS
-				case '=':
-					k = EQ
-				case '<':
-					k = LT
-				default:
-					return nil, &Error{Pos: p, Msg: fmt.Sprintf("unexpected character %q", c)}
-				}
-				adv()
-				toks = append(toks, Token{Kind: k, Pos: p})
-			}
+			lx.i += n
+			t.Kind, t.Lit = k, ""
+		}
+		return nil
+	}
+	t.Kind, t.Lit, t.Pos = EOF, "", lx.pos()
+	return nil
+}
+
+// punct returns the punctuation token that s starts with and its
+// length, or length 0 if s starts with none.
+func punct(s string) (Tok, int) {
+	if len(s) >= 2 {
+		switch s[:2] {
+		case "<-":
+			return LARROW, 2
+		case "<=":
+			return LE, 2
+		case ">=":
+			return GE, 2
 		}
 	}
-	return toks, nil
+	switch s[0] {
+	case '{':
+		return LBRACE, 1
+	case '}':
+		return RBRACE, 1
+	case '[':
+		return LBRACK, 1
+	case ']':
+		return RBRACK, 1
+	case '(':
+		return LPAREN, 1
+	case ')':
+		return RPAREN, 1
+	case ';':
+		return SEMI, 1
+	case ',':
+		return COMMA, 1
+	case ':':
+		return COLON, 1
+	case '.':
+		return DOT, 1
+	case '+':
+		return PLUS, 1
+	case '=':
+		return EQ, 1
+	case '<':
+		return LT, 1
+	}
+	return EOF, 0
 }
 
 func isIdentStart(c byte) bool {

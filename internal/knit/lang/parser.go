@@ -2,16 +2,25 @@ package lang
 
 import "fmt"
 
-// Parse parses a unit-language file.
+// Parse parses a unit-language file. A lexical error anywhere in the
+// file is reported in preference to a syntax error.
 func Parse(file, src string) (*File, error) {
-	toks, err := lex(file, src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: lexer{file: file, src: src, line: 1, lastLine: 1, lastCol: 1}}
+	p.advance()
+	out, err := p.file()
+	for !p.done {
+		p.advance()
 	}
-	p := &parser{toks: toks, file: file}
-	out := &File{Name: file}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return out, err
+}
+
+func (p *parser) file() (*File, error) {
+	out := &File{Name: p.lx.file}
 	for !p.atEOF() {
-		switch p.cur().Kind {
+		switch p.tok.Kind {
 		case KwBundletype:
 			bt, err := p.bundleType()
 			if err != nil {
@@ -53,45 +62,52 @@ func Parse(file, src string) (*File, error) {
 	return out, nil
 }
 
+// parser pulls tokens from the lexer one at a time; the grammar needs
+// no more lookahead than the current token.
 type parser struct {
-	toks []Token
-	pos  int
-	file string
+	lx   lexer
+	tok  Token // the current token
+	err  error // lexical error that ended the token stream
+	done bool  // the lexer hit EOF or err
 }
 
-func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
-
-func (p *parser) cur() Token {
-	if p.atEOF() {
-		pp := Pos{File: p.file, Line: 1, Col: 1}
-		if len(p.toks) > 0 {
-			pp = p.toks[len(p.toks)-1].Pos
+// advance moves to the next token, or to EOF at the last token's
+// position once input or a lexical error has ended the stream.
+func (p *parser) advance() {
+	if !p.done {
+		err := p.lx.scan(&p.tok)
+		if err == nil && p.tok.Kind != EOF {
+			return
 		}
-		return Token{Kind: EOF, Pos: pp}
+		p.err, p.done = err, true
 	}
-	return p.toks[p.pos]
+	p.tok = Token{Kind: EOF, Pos: p.lx.lastPos()}
 }
+
+func (p *parser) atEOF() bool { return p.tok.Kind == EOF }
+
+func (p *parser) cur() Token { return p.tok }
 
 func (p *parser) next() Token {
-	t := p.cur()
-	p.pos++
+	t := p.tok
+	p.advance()
 	return t
 }
 
 func (p *parser) accept(k Tok) bool {
-	if p.cur().Kind == k {
-		p.pos++
+	if p.tok.Kind == k {
+		p.advance()
 		return true
 	}
 	return false
 }
 
 func (p *parser) expect(k Tok) (Token, error) {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != k {
 		return t, p.errf("expected %q, found %s", k.String(), p.describe())
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -186,8 +202,8 @@ func (p *parser) property() (*Property, error) {
 		return nil, err
 	}
 	pr := &Property{Pos: pos, Name: name.Lit}
-	if p.cur().Kind == IDENT && p.cur().Lit == "propagates" {
-		p.next()
+	if p.tok.Kind == IDENT && p.cur().Lit == "propagates" {
+		p.advance()
 		pr.Propagates = true
 	}
 	return pr, nil
@@ -238,23 +254,23 @@ func (p *parser) unit() (*Unit, error) {
 }
 
 func (p *parser) unitSection(u *Unit) error {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case KwImports:
-		p.next()
+		p.advance()
 		bs, err := p.bindings()
 		if err != nil {
 			return err
 		}
 		u.Imports = append(u.Imports, bs...)
 	case KwExports:
-		p.next()
+		p.advance()
 		bs, err := p.bindings()
 		if err != nil {
 			return err
 		}
 		u.Exports = append(u.Exports, bs...)
 	case KwDepends:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LBRACE); err != nil {
 			return err
 		}
@@ -269,7 +285,7 @@ func (p *parser) unitSection(u *Unit) error {
 			return err
 		}
 	case KwFiles:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LBRACE); err != nil {
 			return err
 		}
@@ -300,7 +316,7 @@ func (p *parser) unitSection(u *Unit) error {
 			return err
 		}
 	case KwRename:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LBRACE); err != nil {
 			return err
 		}
@@ -332,7 +348,7 @@ func (p *parser) unitSection(u *Unit) error {
 		}
 		u.Inits = append(u.Inits, InitDecl{Pos: fn.Pos, Func: fn.Lit, Bundle: b.Lit, Finalizer: fin})
 	case KwFallback:
-		p.next()
+		p.advance()
 		fb, err := p.ident()
 		if err != nil {
 			return err
@@ -348,7 +364,7 @@ func (p *parser) unitSection(u *Unit) error {
 			return err
 		}
 	case KwConstraints:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LBRACE); err != nil {
 			return err
 		}
@@ -363,7 +379,7 @@ func (p *parser) unitSection(u *Unit) error {
 			return err
 		}
 	case KwLink:
-		p.next()
+		p.advance()
 		if _, err := p.expect(LBRACE); err != nil {
 			return err
 		}
@@ -416,17 +432,17 @@ func (p *parser) bindings() ([]Binding, error) {
 
 // depTerm parses IDENT | exports | imports | ( term { + term } ).
 func (p *parser) depTerm() ([]string, error) {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case IDENT:
 		return []string{p.next().Lit}, nil
 	case KwExports:
-		p.next()
+		p.advance()
 		return []string{ExportsKeyword}, nil
 	case KwImports:
-		p.next()
+		p.advance()
 		return []string{ImportsKeyword}, nil
 	case LPAREN:
-		p.next()
+		p.advance()
 		var out []string
 		for {
 			t, err := p.depTerm()
@@ -509,7 +525,7 @@ func (p *parser) renameClause() (Rename, error) {
 func (p *parser) constraintRef() (Ref, error) {
 	pos := p.cur().Pos
 	var name string
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case IDENT:
 		name = p.next().Lit
 	default:
@@ -517,14 +533,14 @@ func (p *parser) constraintRef() (Ref, error) {
 	}
 	if p.accept(LPAREN) {
 		var arg string
-		switch p.cur().Kind {
+		switch p.tok.Kind {
 		case IDENT:
 			arg = p.next().Lit
 		case KwImports:
-			p.next()
+			p.advance()
 			arg = ImportsKeyword
 		case KwExports:
-			p.next()
+			p.advance()
 			arg = ExportsKeyword
 		default:
 			return Ref{}, p.errf("expected bundle name, found %s", p.describe())
@@ -543,7 +559,7 @@ func (p *parser) constraint() (Constraint, error) {
 		return Constraint{}, err
 	}
 	var op ConstraintOp
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case EQ:
 		op = OpEq
 	case LE:
@@ -553,7 +569,7 @@ func (p *parser) constraint() (Constraint, error) {
 	default:
 		return Constraint{}, p.errf("expected =, <= or >=, found %s", p.describe())
 	}
-	p.next()
+	p.advance()
 	rhs, err := p.constraintRef()
 	if err != nil {
 		return Constraint{}, err

@@ -236,6 +236,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad section", `unit U = { bogus; }`, "expected unit section"},
 		{"unterminated string", `flags F = { "abc`, "unterminated string"},
 		{"bad char", `unit U @ {}`, "unexpected character"},
+		// A lexical error anywhere wins over an earlier syntax error,
+		// and fails a file whose tokens before it parse.
+		{"bad char after syntax error", "unit U { }\n@", "unexpected character"},
+		{"bad char after bundletype", "bundletype T = { a }\n@", "unexpected character"},
 		{"missing needs", `unit U = { depends { a b; }; }`, "needs"},
 		{"dup fallback", `unit U = { fallback A; fallback B; }`, "more than one fallback"},
 		{"self fallback", `unit U = { fallback U; }`, "names itself"},

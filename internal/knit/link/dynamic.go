@@ -1,10 +1,5 @@
 package link
 
-import (
-	"knit/internal/cmini"
-	"knit/internal/obj"
-)
-
 // ElaborateDynamic instantiates one atomic unit against an already
 // elaborated base program — the linking half of Knit's dynamic-linking
 // extension (paper §8). The unit's imports are wired, by name, to the
@@ -78,10 +73,7 @@ func ElaborateDynamicEnv(reg *Registry, base *Program, unitName string,
 			nextID = inst.ID + 1
 		}
 	}
-	e := &elab{reg: reg, sources: sources,
-		parsed:    map[string]*cmini.File{},
-		assembled: map[string]*obj.File{},
-		nextID:    nextID}
+	e := newElab(reg, sources, nextID)
 	tmp := &Program{Registry: reg, Top: u, Exports: map[string]*Wire{}}
 	if _, err := e.elaborateAtomic(u, env, "dynamic/"+unitName, tmp); err != nil {
 		return nil, err

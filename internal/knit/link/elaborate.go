@@ -44,7 +44,7 @@ type Instance struct {
 	ID    int
 	Path  string // e.g. "LogServe/Log#1", for diagnostics
 	Unit  *lang.Unit
-	Files []*cmini.File // cloned and renamed per instance (C sources)
+	Files []*cmini.File // renamed per instance (C sources), never shared
 	// Objects holds the unit's assembly-implemented files (paper: "Knit
 	// can actually work with C, assembly, and object code"), already
 	// instance-renamed at the object level — the objcopy path. Assembly
@@ -105,9 +105,7 @@ func Elaborate(reg *Registry, topName string, sources Sources) (*Program, error)
 		return nil, errAt(top.Pos, "top unit %s has unsatisfied imports (%d); link it inside a compound unit",
 			topName, len(top.Imports))
 	}
-	e := &elab{reg: reg, sources: sources,
-		parsed:    map[string]*cmini.File{},
-		assembled: map[string]*obj.File{}}
+	e := newElab(reg, sources, 0)
 	prog := &Program{Registry: reg, Top: top, Exports: map[string]*Wire{}}
 	exports, err := e.elaborate(top, map[string]*Wire{}, topName, prog)
 	if err != nil {
@@ -125,8 +123,35 @@ type elab struct {
 	sources   Sources
 	parsed    map[string]*cmini.File
 	assembled map[string]*obj.File
-	nextID    int
-	depth     int
+	// uses counts the instances still to be renamed that share each
+	// parsed file; the last of them renames it in place, the others a
+	// copy.
+	uses    map[*cmini.File]int
+	cidents map[*lang.Unit]map[bkey]string
+	nextID  int
+	depth   int
+}
+
+func newElab(reg *Registry, sources Sources, nextID int) *elab {
+	return &elab{reg: reg, sources: sources,
+		parsed:    map[string]*cmini.File{},
+		assembled: map[string]*obj.File{},
+		uses:      map[*cmini.File]int{},
+		cidents:   map[*lang.Unit]map[bkey]string{},
+		nextID:    nextID}
+}
+
+// cidentMap is the package's cidentMap, computed once per unit.
+func (e *elab) cidentMap(u *lang.Unit) (map[bkey]string, error) {
+	if m, ok := e.cidents[u]; ok {
+		return m, nil
+	}
+	m, err := cidentMap(e.reg, u)
+	if err != nil {
+		return nil, err
+	}
+	e.cidents[u] = m
+	return m, nil
 }
 
 // maxDepth bounds unit nesting (guards against recursive compounds).
@@ -247,7 +272,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	}
 	// Export symbol global names.
 	suffix := fmt.Sprintf("__k%d", inst.ID)
-	cidents, err := cidentMap(e.reg, u)
+	cidents, err := e.cidentMap(u)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +291,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 	if err := e.resolveDepends(u, inst, path); err != nil {
 		return nil, err
 	}
-	// Parse and clone source files; renaming happens in resolveSymbols
+	// Parse source files; copying and renaming happen in resolveSymbols
 	// once all wires are patched. Files ending in ".s" are assembly and
 	// are assembled to objects directly.
 	for _, fname := range u.Files {
@@ -296,7 +321,8 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 			e.parsed[fname] = f
 			base = f
 		}
-		inst.Files = append(inst.Files, cmini.CloneFile(base))
+		inst.Files = append(inst.Files, base)
+		e.uses[base]++
 	}
 	prog.Instances = append(prog.Instances, inst)
 	out := map[string]*Wire{}
@@ -463,13 +489,13 @@ func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
 
 // resolveSymbols runs after all wires are patched: it builds each
 // instance's global rename map (imports -> provider symbols, exports and
-// hidden names -> instance-suffixed names) and applies it to the cloned
-// ASTs. It also validates that exports are actually defined and that
-// referenced-but-unbound symbols are flagged.
+// hidden names -> instance-suffixed names) and applies it to each
+// instance's own copy of its ASTs. It also validates that exports are
+// actually defined and that referenced-but-unbound symbols are flagged.
 func (e *elab) resolveSymbols(prog *Program) error {
 	for _, inst := range prog.Instances {
 		u := inst.Unit
-		cidents, err := cidentMap(e.reg, u)
+		cidents, err := e.cidentMap(u)
 		if err != nil {
 			return err
 		}
@@ -552,10 +578,11 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		// Per-file statics: suffix with file index as well (statics are
 		// file-scoped in C).
 		for fi, f := range inst.Files {
-			fileMap := map[string]string{}
-			for k, v := range mapping {
-				fileMap[k] = v
+			if e.uses[f]--; e.uses[f] > 0 {
+				f = cmini.CloneFile(f)
+				inst.Files[fi] = f
 			}
+			statics := map[string]string{}
 			for _, d := range f.Decls {
 				var name string
 				var static bool
@@ -566,7 +593,25 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					name, static = d.Name, d.Static && d.Body != nil
 				}
 				if static {
-					fileMap[name] = fmt.Sprintf("%s%s_f%d", name, suffix, fi)
+					statics[name] = fmt.Sprintf("%s%s_f%d", name, suffix, fi)
+				}
+			}
+			rename := func(name *string) bool {
+				if to, ok := statics[*name]; ok {
+					*name = to
+				} else if to, ok := mapping[*name]; ok {
+					*name = to
+				} else {
+					return false
+				}
+				return true
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *cmini.VarDecl:
+					rename(&d.Name)
+				case *cmini.FuncDecl:
+					rename(&d.Name)
 				}
 			}
 			// Unbound references: anything used that is not defined by
@@ -575,18 +620,18 @@ func (e *elab) resolveSymbols(prog *Program) error {
 			// declaration alone does not resolve a reference — that is
 			// precisely the "spurious notch" the bag-of-objects model
 			// cannot diagnose and Knit can.
-			for ref := range cmini.GlobalRefs(f) {
-				if mapping[ref] != "" || fileMap[ref] != "" || definedGlobal[ref] {
-					continue
+			var unbound string
+			cmini.WalkGlobalRefs(f, func(id *cmini.Ident) {
+				if !rename(&id.Name) && unbound == "" && !definedGlobal[id.Name] &&
+					!strings.HasPrefix(id.Name, AmbientPrefix) {
+					unbound = id.Name
 				}
-				if strings.HasPrefix(ref, AmbientPrefix) {
-					continue
-				}
+			})
+			if unbound != "" {
 				return errAt(u.Pos,
 					"%s: file %s uses symbol %q which is neither defined by the unit nor bound to an import",
-					inst.Path, f.Name, ref)
+					inst.Path, f.Name, unbound)
 			}
-			cmini.RenameGlobals(f, fileMap)
 		}
 		// Assembly files: the same renaming, applied at the object level
 		// (the objcopy path). Locals get a per-file suffix like C statics.

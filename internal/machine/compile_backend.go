@@ -2,11 +2,18 @@ package machine
 
 // This file is the machine's second execution engine: a closure
 // compiler. Each function of the loaded Image is translated, once, into
-// a chain of Go closures per basic block — with fused superinstructions
-// for common pairs (compare+branch, const+ALU, address+load/store,
-// load+call) — and the per-instruction interpreter overhead (opcode
-// switch, pc bounds check, fetch model, step/fuel checks) is replaced
-// by one bulk check per straight-line segment.
+// a chain of Go closures per basic block, and the per-instruction
+// interpreter overhead (opcode switch, pc bounds check, fetch model,
+// step/fuel checks) is replaced by one bulk check per straight-line
+// segment. Superinstructions are kept only for the shapes the router
+// actually executes: the unrolled accumulate run (fuseIndexedRun, most
+// of the router's compiled work), const+ALU, an ALU op feeding a load
+// or mov, compare+branch, mov+mov, mov+const, and global-address+load.
+//
+// Frame set-up, the PostCall wrapper, call binding and the call-cost
+// charge are not part of this file: both engines share them (exec,
+// call, resolve, funcAt and invoke in machine.go), and only function
+// bodies run here (runCompiled).
 //
 // The compiled path preserves the interpreter's full runtime contract:
 //
@@ -71,24 +78,12 @@ func (b Backend) String() string {
 // ParseBackend parses a -backend flag value.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "interp", "interpreter":
+	case "", "interp":
 		return BackendInterp, nil
-	case "compiled", "closure", "closures":
+	case "compiled":
 		return BackendCompiled, nil
 	}
 	return 0, fmt.Errorf("machine: unknown backend %q (want interp or compiled)", s)
-}
-
-// Options configures machine creation beyond the image itself.
-type Options struct {
-	Backend Backend
-}
-
-// NewWith creates a machine for a loaded image with options.
-func NewWith(img *Image, opts Options) *M {
-	m := New(img)
-	m.backend = opts.Backend
-	return m
 }
 
 // SetBackend switches the execution engine. Switch between runs, not
@@ -145,24 +140,14 @@ type imageProg struct {
 	nsites int
 }
 
-// siteKind classifies what a dispatch-cache slot resolved to.
-type siteKind uint8
-
-const (
-	siteUndef siteKind = iota
-	siteFunc
-	siteBuiltin
-)
-
 // callSite is one slot of the per-machine dispatch cache. Direct-call
-// slots cache the interpose-resolved target for their (fixed) symbol;
-// indirect-call slots are a monomorphic inline cache keyed by the last
-// target address. Entries are valid only while version == dispVersion.
+// slots cache resolve's target for their (fixed) symbol, with the
+// callee's compiled form; indirect-call slots are a monomorphic inline
+// cache keyed by the last target address. Entries are valid only while
+// version == dispVersion.
 type callSite struct {
+	target
 	version  uint64
-	kind     siteKind
-	cf       *cfunc
-	b        Builtin
 	lastAddr int64
 }
 
@@ -221,61 +206,6 @@ func (m *M) growSites(n int) {
 	m.sites = ns
 }
 
-// invoke runs one compiled function body, firing the PostCall hook
-// exactly like the interpreter's call wrapper.
-func (m *M) invoke(cf *cfunc, args []int64) (int64, error) {
-	if m.PostCall == nil {
-		return m.enterCompiled(cf, args)
-	}
-	depth := m.depth
-	start := m.Cycles
-	v, err := m.enterCompiled(cf, args)
-	m.PostCall(CallInfo{Fn: cf.fn.Name, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
-	return v, err
-}
-
-// enterCompiled mirrors exec's frame prologue instruction for
-// instruction — same checks in the same order, same trap messages, same
-// arena discipline — then runs the compiled body.
-func (m *M) enterCompiled(cf *cfunc, args []int64) (int64, error) {
-	fn := cf.fn
-	if m.depth >= MaxCallDepth {
-		return 0, &Trap{Kind: TrapStackOverflow, Msg: "call stack overflow", Func: fn.Name}
-	}
-	if m.PreCall != nil {
-		if err := m.PreCall(fn.Name); err != nil {
-			return 0, err
-		}
-	}
-	if len(args) != fn.NArgs {
-		return 0, &Trap{Msg: fmt.Sprintf("called with %d args, want %d", len(args), fn.NArgs), Func: fn.Name}
-	}
-	m.depth++
-	rbase := m.regTop
-	defer func() { m.depth--; m.regTop = rbase }()
-
-	if rbase+fn.NRegs > len(m.regStack) {
-		m.regStack = growArena(m.regStack, rbase+fn.NRegs)
-	}
-	regs := m.regStack[rbase : rbase+fn.NRegs : rbase+fn.NRegs]
-	m.regTop = rbase + fn.NRegs
-	copy(regs, args)
-	for i := len(args); i < len(regs); i++ {
-		regs[i] = 0
-	}
-	fp := m.sp
-	if fp+int64(fn.Frame) > m.stackLimit {
-		return 0, &Trap{Kind: TrapStackOverflow, Msg: "simulated stack overflow", Func: fn.Name}
-	}
-	for i := int64(0); i < int64(fn.Frame); i++ {
-		m.Mem[fp+i] = 0
-	}
-	m.sp = fp + int64(fn.Frame)
-	defer func() { m.sp = fp }()
-
-	return m.runCompiled(cf, regs, fp)
-}
-
 // runCompiled drives a compiled function body: per segment, one bulk
 // step/fuel check and one bulk counter update, then the ops; per block,
 // the terminator. When a segment could cross a limit, the rest of the
@@ -322,82 +252,14 @@ func (m *M) runCompiled(cf *cfunc, regs []int64, fp int64) (int64, error) {
 	}
 }
 
-// compiledDispatch performs a direct call from compiled code through
-// the dispatch cache, mirroring the interpreter's dispatch: interpose
-// resolution, image → dynamic → builtin lookup order, identical cycle
-// charges and counters, identical trap.
-func (m *M) compiledDispatch(site int, sym string, regs []int64, argRegs []obj.Reg, caller string, pc int) (int64, error) {
-	if m.sites[site].version != m.dispVersion {
-		m.resolveSite(site, sym)
+// fillSite caches resolve's target for a direct-call slot, with the
+// callee's compiled form.
+func (m *M) fillSite(site int, sym string) {
+	t := m.resolve(sym)
+	if t.fn != nil {
+		t.cf = m.compiledFor(t.fn)
 	}
-	c := &m.sites[site]
-	switch c.kind {
-	case siteFunc:
-		cf := c.cf
-		m.Calls++
-		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
-		argv, abase := m.pushArgs(regs, argRegs)
-		v, err := m.invoke(cf, argv)
-		m.argTop = abase
-		return v, err
-	case siteBuiltin:
-		b := c.b
-		m.BuiltinCnt++
-		m.Cycles += m.Costs.Builtin
-		argv, abase := m.pushArgs(regs, argRegs)
-		v, err := b(m, argv)
-		m.argTop = abase
-		return v, err
-	default:
-		return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + m.interposed(sym), Func: caller, PC: pc}
-	}
-}
-
-// resolveSite fills one direct-call dispatch slot for sym, following
-// the interpreter's resolution order. It writes through the index, not
-// a held pointer: compiledFor can grow m.sites.
-func (m *M) resolveSite(site int, sym string) {
-	final := m.interposed(sym)
-	c := callSite{version: m.dispVersion}
-	if fn, ok := m.Img.Entry[final]; ok {
-		c.kind, c.cf = siteFunc, m.compiledFor(fn)
-	} else if fn, ok := m.dynFunc(final); ok {
-		c.kind, c.cf = siteFunc, m.compiledFor(fn)
-	} else if b, ok := m.Builtins[final]; ok {
-		c.kind, c.b = siteBuiltin, b
-	} else {
-		c.kind = siteUndef
-	}
-	c.version = m.dispVersion // compiledFor cannot bump, but be explicit
-	m.sites[site] = c
-}
-
-// compiledCallInd performs an indirect call from compiled code, with a
-// monomorphic inline cache on the last target address. Interposition
-// deliberately does not apply (same as the interpreter).
-func (m *M) compiledCallInd(site int, regs []int64, aReg obj.Reg, argRegs []obj.Reg, caller string, pc int) (int64, error) {
-	target := regs[aReg]
-	c := &m.sites[site]
-	cf := c.cf
-	if c.version != m.dispVersion || c.lastAddr != target || cf == nil {
-		fn, ok := m.Img.funcByAddr[target]
-		if !ok {
-			fn, ok = m.dynFuncByAddr(target)
-		}
-		if !ok {
-			return 0, &Trap{Kind: TrapUnresolvedSymbol,
-				Msg: fmt.Sprintf("indirect call to non-function address %#x", target), Func: caller, PC: pc}
-		}
-		cf = m.compiledFor(fn)
-		c = &m.sites[site] // compiledFor may have grown the cache
-		c.version, c.kind, c.cf, c.lastAddr = m.dispVersion, siteFunc, cf, target
-	}
-	m.IndCalls++
-	m.Cycles += m.Costs.CallBase + m.Costs.Indirect + m.Costs.CallPerArg*int64(len(argRegs))
-	argv, abase := m.pushArgs(regs, argRegs)
-	v, err := m.invoke(cf, argv)
-	m.argTop = abase
-	return v, err
+	m.sites[site] = callSite{target: t, version: m.dispVersion}
 }
 
 // trapTerm builds a terminator that traps. The Trap is allocated per
@@ -505,10 +367,8 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 	cur := cseg{startPC: start}
 	emit := func(op copFn, width int64) {
 		cur.n += width
-		if op != nil {
-			cur.ops = append(cur.ops, op)
-			cur.done = append(cur.done, cur.n)
-		}
+		cur.ops = append(cur.ops, op)
+		cur.done = append(cur.done, cur.n)
 	}
 	closeSeg := func(nextPC int) {
 		b.segs = append(b.segs, cur)
@@ -598,12 +458,6 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpConst:
-			// Fused indexed load: "v = base[imm]" and its accumulate form.
-			if op, w := fuseIndexedLoad(code, pc, end, fname); op != nil {
-				emit(op, w)
-				pc += int(w)
-				continue
-			}
 			// Fused ALU-immediate: const feeding the next op's B operand.
 			if pc+1 < end {
 				in2 := &code[pc+1]
@@ -623,14 +477,7 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpMov:
-			// Batched unrolled accumulate runs first, then the single
-			// mov-led indexed-load superinstruction.
 			if op, w := fuseIndexedRun(code, pc, end, fname); op != nil {
-				emit(op, w)
-				pc += int(w)
-				continue
-			}
-			if op, w := fuseIndexedLoad(code, pc, end, fname); op != nil {
 				emit(op, w)
 				pc += int(w)
 				continue
@@ -670,48 +517,11 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpLoad:
-			// Fused load+call: the loaded value (often a vtable-style
-			// function address or an argument) feeds a direct call. The
-			// load can trap with the call already pre-counted, so the
-			// error path self-adjusts by the one instruction that did
-			// not execute.
-			if pc+1 < end && code[pc+1].Op == obj.OpCall {
-				in2 := &code[pc+1]
-				site := *next
-				*next++
-				lA, lDst, lpc := in.A, in.Dst, pc
-				sym, argRegs, cDst, cpc := in2.Sym, in2.Args, in2.Dst, pc+1
-				emit(func(m *M, regs []int64, fp int64) error {
-					addr := regs[lA]
-					if addr < nullGuard || addr >= int64(len(m.Mem)) {
-						m.Executed--
-						m.Cycles -= m.Costs.Instr
-						return &Trap{Kind: TrapBadAddress,
-							Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-					}
-					regs[lDst] = m.Mem[addr]
-					v, err := m.compiledDispatch(site, sym, regs, argRegs, fname, cpc)
-					if err != nil {
-						return err
-					}
-					regs[cDst] = v
-					return nil
-				}, 2)
-				closeSeg(pc + 2)
-				pc += 2
-				continue
-			}
-			if op, w := fuseLoadBin(code, pc, end, fname); op != nil {
-				emit(op, w)
-				pc += int(w)
-				continue
-			}
 			a, dst, lpc := in.A, in.Dst, pc
 			emit(func(m *M, regs []int64, fp int64) error {
 				addr := regs[a]
 				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
+					return badAddress(false, addr, fname, lpc)
 				}
 				regs[dst] = m.Mem[addr]
 				return nil
@@ -723,8 +533,7 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			emit(func(m *M, regs []int64, fp int64) error {
 				addr := regs[a]
 				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("store to invalid address %d", addr), Func: fname, PC: spc}
+					return badAddress(true, addr, fname, spc)
 				}
 				m.Mem[addr] = regs[bReg]
 				return nil
@@ -732,42 +541,6 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpAddrLocal:
-			// Fused frame-slot access: the computed address feeds the
-			// next load or store. The address is still written to its
-			// register (later code may reuse it).
-			if pc+1 < end {
-				in2 := &code[pc+1]
-				if in2.Op == obj.OpLoad && in2.A == in.Dst {
-					ad, off, dst, lpc := in.Dst, in.Imm, in2.Dst, pc+1
-					emit(func(m *M, regs []int64, fp int64) error {
-						addr := fp + off
-						regs[ad] = addr
-						if addr < nullGuard || addr >= int64(len(m.Mem)) {
-							return &Trap{Kind: TrapBadAddress,
-								Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-						}
-						regs[dst] = m.Mem[addr]
-						return nil
-					}, 2)
-					pc += 2
-					continue
-				}
-				if in2.Op == obj.OpStore && in2.A == in.Dst {
-					ad, off, vReg, spc := in.Dst, in.Imm, in2.B, pc+1
-					emit(func(m *M, regs []int64, fp int64) error {
-						addr := fp + off
-						regs[ad] = addr
-						if addr < nullGuard || addr >= int64(len(m.Mem)) {
-							return &Trap{Kind: TrapBadAddress,
-								Msg: fmt.Sprintf("store to invalid address %d", addr), Func: fname, PC: spc}
-						}
-						m.Mem[addr] = regs[vReg]
-						return nil
-					}, 2)
-					pc += 2
-					continue
-				}
-			}
 			dst, off := in.Dst, in.Imm
 			emit(func(m *M, regs []int64, fp int64) error {
 				regs[dst] = fp + off
@@ -800,8 +573,7 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 				emit(func(m *M, regs []int64, fp int64) error {
 					regs[ad] = ga
 					if ga < nullGuard || ga >= int64(len(m.Mem)) {
-						return &Trap{Kind: TrapBadAddress,
-							Msg: fmt.Sprintf("load from invalid address %d", ga), Func: fname, PC: lpc}
+						return badAddress(false, ga, fname, lpc)
 					}
 					regs[dst] = m.Mem[ga]
 					return nil
@@ -833,7 +605,10 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			*next++
 			sym, argRegs, dst, cpc := in.Sym, in.Args, in.Dst, pc
 			emit(func(m *M, regs []int64, fp int64) error {
-				v, err := m.compiledDispatch(site, sym, regs, argRegs, fname, cpc)
+				if m.sites[site].version != m.dispVersion {
+					m.fillSite(site, sym)
+				}
+				v, err := m.invoke(&m.sites[site].target, false, regs, argRegs, fname, cpc)
 				if err != nil {
 					return err
 				}
@@ -848,7 +623,17 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			*next++
 			aReg, argRegs, dst, cpc := in.A, in.Args, in.Dst, pc
 			emit(func(m *M, regs []int64, fp int64) error {
-				v, err := m.compiledCallInd(site, regs, aReg, argRegs, fname, cpc)
+				// A monomorphic inline cache on the last target address.
+				addr := regs[aReg]
+				if c := &m.sites[site]; c.version != m.dispVersion || c.lastAddr != addr {
+					fn, err := m.funcAt(addr, fname, cpc)
+					if err != nil {
+						return err
+					}
+					cf := m.compiledFor(fn)
+					m.sites[site] = callSite{target: target{fn: fn, cf: cf}, version: m.dispVersion, lastAddr: addr}
+				}
+				v, err := m.invoke(&m.sites[site].target, true, regs, argRegs, fname, cpc)
 				if err != nil {
 					return err
 				}
@@ -1035,201 +820,55 @@ func pureBin(tok cmini.Tok) func(a, b int64) int64 {
 	return nil
 }
 
-// fuseIndexedLoad recognizes the indexed-load superinstruction family
+// fuseIndexedRun fuses an unrolled accumulate loop — two or more
+// consecutive rounds of
 //
-//	[mov p, base;] const k, imm; bin+ a, x, y; load v, a [; bin+ s, u, w; mov d, s']
+//	mov p, base; const k, imm; bin+ a, p, k; load v, a; bin+ s, acc, v; mov acc, s
 //
-// — the code shape compilers emit for "v = base[imm]" and its
-// accumulate form "acc += base[imm]" (the single hottest pattern in
-// unrolled element code). The closure performs the exact sequential
-// register writes, so operand aliasing needs no side conditions; both
-// ALU ops are required to be PLUS (address arithmetic), so the load in
-// the middle is the group's only trap point, and its error path rolls
-// back the tail instructions that did not run.
-func fuseIndexedLoad(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
-	p := pc
-	lead := code[p].Op == obj.OpMov
-	if lead {
-		p++
-	}
-	if p+2 >= end ||
-		code[p].Op != obj.OpConst ||
-		code[p+1].Op != obj.OpBin || cmini.Tok(code[p+1].Tok) != cmini.PLUS ||
-		code[p+2].Op != obj.OpLoad {
-		return nil, 0
-	}
-	tail := p+4 < end &&
-		code[p+3].Op == obj.OpBin && cmini.Tok(code[p+3].Tok) == cmini.PLUS &&
-		code[p+4].Op == obj.OpMov
-	kd, imm := code[p].Dst, code[p].Imm
-	bd, bA, bB := code[p+1].Dst, code[p+1].A, code[p+1].B
-	ld, lA, lpc := code[p+2].Dst, code[p+2].A, p+2
-
-	switch {
-	case lead && tail:
-		lmD, lmA := code[pc].Dst, code[pc].A
-		td, tA, tB := code[p+3].Dst, code[p+3].A, code[p+3].B
-		tmD, tmA := code[p+4].Dst, code[p+4].A
-		return func(m *M, regs []int64, fp int64) error {
-			regs[lmD] = regs[lmA]
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				m.Executed -= 2
-				m.Cycles -= 2 * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			regs[td] = regs[tA] + regs[tB]
-			regs[tmD] = regs[tmA]
-			return nil
-		}, 6
-	case lead:
-		lmD, lmA := code[pc].Dst, code[pc].A
-		return func(m *M, regs []int64, fp int64) error {
-			regs[lmD] = regs[lmA]
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			return nil
-		}, 4
-	case tail:
-		td, tA, tB := code[p+3].Dst, code[p+3].A, code[p+3].B
-		tmD, tmA := code[p+4].Dst, code[p+4].A
-		return func(m *M, regs []int64, fp int64) error {
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				m.Executed -= 2
-				m.Cycles -= 2 * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			regs[td] = regs[tA] + regs[tB]
-			regs[tmD] = regs[tmA]
-			return nil
-		}, 5
-	default:
-		return func(m *M, regs []int64, fp int64) error {
-			regs[kd] = imm
-			regs[bd] = regs[bA] + regs[bB]
-			addr := regs[lA]
-			if addr < nullGuard || addr >= int64(len(m.Mem)) {
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-			}
-			regs[ld] = m.Mem[addr]
-			return nil
-		}, 3
-	}
-}
-
-// ixRound is one decoded round of an unrolled indexed-accumulate run:
-// mov; const; bin+; load; bin+; mov.
-type ixRound struct {
-	lmD, lmA, kd, bd, bA, bB, ld, lA, td, tA, tB, tmD, tmA obj.Reg
-	imm                                                    int64
-	lpc                                                    int
-}
-
-// fuseIndexedRun batches consecutive identical-shape accumulate
-// 6-grams — the body of a compiler-unrolled "for { acc += base[i] }"
-// loop — into a single closure driven by a pre-decoded descriptor
-// array. An unrolled loop of N array reads costs N descriptor
-// iterations instead of N closure dispatches. A trapping load inside
-// round i rolls the bulk pre-count back to the 6i+4 instructions that
-// architecturally ran (the round's mov, const, and address add, plus
-// the trapping load itself).
+// the body of a compiler-unrolled "for { acc += base[i] }" — into one
+// closure that keeps base and acc in host locals and skips the
+// per-round register churn. That is sound only while the temporaries of
+// every round but the last are read by nothing outside the run: a
+// function frame's register file is observable only by the function's
+// own instructions (traps, hooks and snapshots never expose it), so
+// skipping writes to registers the rest of the function provably never
+// reads cannot change any observable behaviour. The final round's
+// writes are materialized, in program order: its registers are the only
+// ones later code can legitimately consume. p and k must differ, or the
+// round would add k to itself. Returns nil when the shape or the
+// liveness condition does not hold; the instructions then run unfused.
 func fuseIndexedRun(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
-	matches := func(p int) bool {
-		return p+5 < end &&
-			code[p].Op == obj.OpMov &&
-			code[p+1].Op == obj.OpConst &&
-			code[p+2].Op == obj.OpBin && cmini.Tok(code[p+2].Tok) == cmini.PLUS &&
-			code[p+3].Op == obj.OpLoad &&
-			code[p+4].Op == obj.OpBin && cmini.Tok(code[p+4].Tok) == cmini.PLUS &&
-			code[p+5].Op == obj.OpMov
-	}
-	var rs []ixRound
-	for p := pc; matches(p); p += 6 {
-		rs = append(rs, ixRound{
-			lmD: code[p].Dst, lmA: code[p].A,
-			kd: code[p+1].Dst, imm: code[p+1].Imm,
-			bd: code[p+2].Dst, bA: code[p+2].A, bB: code[p+2].B,
-			ld: code[p+3].Dst, lA: code[p+3].A, lpc: p + 3,
-			td: code[p+4].Dst, tA: code[p+4].A, tB: code[p+4].B,
-			tmD: code[p+5].Dst, tmA: code[p+5].A,
-		})
-	}
-	if len(rs) < 2 {
+	if pc+5 >= end {
 		return nil, 0
 	}
-	width := int64(6 * len(rs))
-	if op := fuseIndexedRunStrided(code, pc, int(width), rs, fname); op != nil {
-		return op, width
-	}
-	return func(m *M, regs []int64, fp int64) error {
-		mem := m.Mem
-		memLen := int64(len(mem))
-		for i := range rs {
-			r := &rs[i]
-			regs[r.lmD] = regs[r.lmA]
-			regs[r.kd] = r.imm
-			regs[r.bd] = regs[r.bA] + regs[r.bB]
-			addr := regs[r.lA]
-			if addr < nullGuard || addr >= memLen {
-				adj := width - (6*int64(i) + 4)
-				m.Executed -= adj
-				m.Cycles -= adj * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: r.lpc}
-			}
-			regs[r.ld] = mem[addr]
-			regs[r.td] = regs[r.tA] + regs[r.tB]
-			regs[r.tmD] = regs[r.tmA]
-		}
-		return nil
-	}, width
-}
-
-// fuseIndexedRunStrided is the fast path of fuseIndexedRun: when every
-// round implements exactly "acc += Mem[base+imm]" — the dataflow chains
-// round-internally and each round's five temporaries are read by
-// nothing else in the function — base and acc stay in host locals and
-// the per-round register churn is skipped. A function frame's register
-// file is observable only by the function's own instructions (traps,
-// hooks and snapshots never expose it), so skipping writes to registers
-// the rest of the function provably never reads cannot change any
-// observable behaviour. The final round's writes are materialized: its
-// registers are the only ones later code can legitimately consume.
-// Returns nil when the shape or the liveness condition does not hold.
-func fuseIndexedRunStrided(code []obj.Instr, pc, width int, rs []ixRound, fname string) copFn {
-	r0 := &rs[0]
-	base, acc := r0.lmA, r0.tA
+	base, acc := code[pc].A, code[pc+4].A
 	if base == acc {
-		return nil
+		return nil, 0
 	}
-	for i := range rs {
-		r := &rs[i]
-		if r.lmA != base || r.tA != acc || r.tmD != acc || r.tmA != r.td ||
-			r.bA != r.lmD || r.bB != r.kd || r.lA != r.bd || r.tB != r.ld {
-			return nil
+	round := func(r []obj.Instr) bool {
+		if r[0].Op != obj.OpMov || r[0].A != base || r[0].Dst == r[1].Dst ||
+			r[1].Op != obj.OpConst ||
+			r[2].Op != obj.OpBin || cmini.Tok(r[2].Tok) != cmini.PLUS || r[2].A != r[0].Dst || r[2].B != r[1].Dst ||
+			r[3].Op != obj.OpLoad || r[3].A != r[2].Dst ||
+			r[4].Op != obj.OpBin || cmini.Tok(r[4].Tok) != cmini.PLUS || r[4].A != acc || r[4].B != r[3].Dst ||
+			r[5].Op != obj.OpMov || r[5].Dst != acc || r[5].A != r[4].Dst {
+			return false
 		}
-		for _, tmp := range [5]obj.Reg{r.lmD, r.kd, r.bd, r.ld, r.td} {
-			if tmp == base || tmp == acc {
-				return nil
+		for _, in := range r[:5] {
+			if in.Dst == base || in.Dst == acc {
+				return false
 			}
 		}
+		return true
 	}
+	var imms []int64
+	for p := pc; p+5 < end && round(code[p:p+6]); p += 6 {
+		imms = append(imms, code[p+1].Imm)
+	}
+	if len(imms) < 2 {
+		return nil, 0
+	}
+	width := 6 * len(imms)
 	// Registers read as sources anywhere outside the run's own
 	// instructions.
 	readOutside := map[obj.Reg]bool{}
@@ -1260,19 +899,16 @@ func fuseIndexedRunStrided(code []obj.Instr, pc, width int, rs []ixRound, fname 
 			}
 		}
 	}
-	for i := range rs[:len(rs)-1] {
-		r := &rs[i]
-		for _, tmp := range [5]obj.Reg{r.lmD, r.kd, r.bd, r.ld, r.td} {
-			if readOutside[tmp] {
-				return nil
+	for p := pc; p < pc+width-6; p += 6 {
+		for _, in := range code[p : p+5] {
+			if readOutside[in.Dst] {
+				return nil, 0
 			}
 		}
 	}
-	imms := make([]int64, len(rs))
-	for i := range rs {
-		imms[i] = rs[i].imm
-	}
-	last := rs[len(rs)-1]
+	last := code[pc+width-6 : pc+width]
+	pD, kD, aD, vD, sD := last[0].Dst, last[1].Dst, last[2].Dst, last[3].Dst, last[4].Dst
+	lastImm := imms[len(imms)-1]
 	w := int64(width)
 	return func(m *M, regs []int64, fp int64) error {
 		mem := m.Mem
@@ -1283,23 +919,23 @@ func fuseIndexedRunStrided(code []obj.Instr, pc, width int, rs []ixRound, fname 
 			addr := b + imm
 			if addr < nullGuard || addr >= memLen {
 				// The frame is dead after a trap — no later instruction
-				// will read regs — so only the counters need fixing.
+				// will read regs — so only the counters need fixing: keep
+				// the 6i+4 instructions that ran, the trapping load last.
 				adj := w - (6*int64(i) + 4)
 				m.Executed -= adj
 				m.Cycles -= adj * m.Costs.Instr
-				return &Trap{Kind: TrapBadAddress,
-					Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: rs[i].lpc}
+				return badAddress(false, addr, fname, pc+6*i+3)
 			}
 			a += mem[addr]
 		}
-		regs[last.lmD] = b
-		regs[last.kd] = last.imm
-		regs[last.bd] = b + last.imm
-		regs[last.ld] = mem[b+last.imm]
-		regs[last.td] = a
+		regs[pD] = b
+		regs[kD] = lastImm
+		regs[aD] = b + lastImm
+		regs[vD] = mem[b+lastImm]
+		regs[sD] = a
 		regs[acc] = a
 		return nil
-	}
+	}, w
 }
 
 // fuseBinChain fuses a non-trapping ALU op with its consumer: "bin;
@@ -1322,8 +958,7 @@ func fuseBinChain(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
 				regs[bd] = regs[bA] + regs[bB]
 				addr := regs[lA]
 				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
+					return badAddress(false, addr, fname, lpc)
 				}
 				regs[ld] = m.Mem[addr]
 				return nil
@@ -1334,8 +969,7 @@ func fuseBinChain(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
 				regs[bd] = f(regs[bA], regs[bB])
 				addr := regs[lA]
 				if addr < nullGuard || addr >= int64(len(m.Mem)) {
-					return &Trap{Kind: TrapBadAddress,
-						Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
+					return badAddress(false, addr, fname, lpc)
 				}
 				regs[ld] = m.Mem[addr]
 				return nil
@@ -1359,32 +993,6 @@ func fuseBinChain(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
 		}
 	}
 	return nil, 0
-}
-
-// fuseLoadBin fuses "load; bin(pure)". The load is the group's first
-// instruction, so its trap rolls back the pre-counted ALU op.
-func fuseLoadBin(code []obj.Instr, pc, end int, fname string) (copFn, int64) {
-	if pc+1 >= end || code[pc+1].Op != obj.OpBin {
-		return nil, 0
-	}
-	f := pureBin(cmini.Tok(code[pc+1].Tok))
-	if f == nil {
-		return nil, 0
-	}
-	ld, lA, lpc := code[pc].Dst, code[pc].A, pc
-	bd, bA, bB := code[pc+1].Dst, code[pc+1].A, code[pc+1].B
-	return func(m *M, regs []int64, fp int64) error {
-		addr := regs[lA]
-		if addr < nullGuard || addr >= int64(len(m.Mem)) {
-			m.Executed--
-			m.Cycles -= m.Costs.Instr
-			return &Trap{Kind: TrapBadAddress,
-				Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fname, PC: lpc}
-		}
-		regs[ld] = m.Mem[addr]
-		regs[bd] = f(regs[bA], regs[bB])
-		return nil
-	}, 2
 }
 
 // compileUn specializes a unary ALU op.

@@ -126,8 +126,9 @@ func fibProgram() *obj.File {
 	}))
 }
 
-// memProgram: globals, string literals, frame slots, and stores — the
-// fused address+load/store paths.
+// memProgram: loads and stores through every kind of computed address —
+// frame slots, a global (whose address+load pair is fused) and a string
+// literal.
 func memProgram() *obj.File {
 	f := fileWith(buildFunc("memops", 0, 6, 2, []obj.Instr{
 		{Op: obj.OpConst, Dst: 1, Imm: 9},
@@ -248,9 +249,9 @@ func TestBackendParityTraps(t *testing.T) {
 		}))
 		runBoth(t, f, nil, "f")
 	})
-	t.Run("trap-mid-fused-load-call", func(t *testing.T) {
-		// The load half of a fused load+call traps: Executed must count
-		// the load but not the pre-counted call.
+	t.Run("trap-load-before-call", func(t *testing.T) {
+		// A load traps just before a direct call in the same segment:
+		// Executed must count the load but not the call.
 		f := fileWith(
 			buildFunc("callee", 1, 2, 0, []obj.Instr{{Op: obj.OpRet, A: 0, HasVal: true}}),
 			buildFunc("f", 1, 3, 0, []obj.Instr{
@@ -262,6 +263,103 @@ func TestBackendParityTraps(t *testing.T) {
 		runBoth(t, f, nil, "f", 3)  // load traps
 		runBoth(t, f, nil, "f", 20) // load fine, call runs
 	})
+}
+
+// accRunProgram builds acc(base): an unrolled accumulate run, one round
+// per imm, summing Mem[base+imm] into r1. Every round has its own
+// temporaries (r2.. in fives), the shape fuseIndexedRun fuses. The
+// 8-word global arr (address nullGuard) holds 1, 2, 4, ... 128. edit, when
+// set, rewrites the body before it is loaded.
+func accRunProgram(imms []int64, edit func(code []obj.Instr) []obj.Instr) *obj.File {
+	code := []obj.Instr{{Op: obj.OpConst, Dst: 1, Imm: 0}}
+	for i, imm := range imms {
+		p, k, a, v, s := obj.Reg(2+5*i), obj.Reg(3+5*i), obj.Reg(4+5*i), obj.Reg(5+5*i), obj.Reg(6+5*i)
+		code = append(code,
+			obj.Instr{Op: obj.OpMov, Dst: p, A: 0},
+			obj.Instr{Op: obj.OpConst, Dst: k, Imm: imm},
+			obj.Instr{Op: obj.OpBin, Dst: a, A: p, B: k, Tok: int(cmini.PLUS)},
+			obj.Instr{Op: obj.OpLoad, Dst: v, A: a},
+			obj.Instr{Op: obj.OpBin, Dst: s, A: 1, B: v, Tok: int(cmini.PLUS)},
+			obj.Instr{Op: obj.OpMov, Dst: 1, A: s},
+		)
+	}
+	code = append(code, obj.Instr{Op: obj.OpRet, A: 1, HasVal: true})
+	if edit != nil {
+		code = edit(code)
+	}
+	f := fileWith(buildFunc("acc", 1, 2+5*len(imms), 0, code))
+	arr := &obj.Data{Name: "arr", Size: 8}
+	for i := 0; i < 8; i++ {
+		arr.Init = append(arr.Init, obj.DataInit{Kind: obj.InitConst, Offset: i, Val: 1 << i})
+	}
+	f.Datas["arr"] = arr
+	f.AddSym(&obj.Symbol{Name: "arr", Kind: obj.SymData, Defined: true})
+	return f
+}
+
+// TestCompiledAccumulateRun holds the accumulate run — most of the
+// router's compiled work — to the interpreter at its edges: traps in
+// the first, a middle and the last round, budgets that run out inside
+// it, and the register shapes it must refuse to fuse.
+func TestCompiledAccumulateRun(t *testing.T) {
+	const arr = nullGuard
+	memEnd := int64(arr + 8 + stackWords)
+	for _, tc := range []struct {
+		name  string
+		imms  []int64
+		edit  func([]obj.Instr) []obj.Instr
+		fused bool
+		base  int64
+		setup func(*M)
+	}{
+		{name: "sum", imms: []int64{0, 1, 2, 7}, fused: true, base: arr},
+		{name: "trap-first-round", imms: []int64{-1, 1, 2, 3}, fused: true, base: arr},
+		{name: "trap-middle-round", imms: []int64{0, 1, -arr - 1, 3}, fused: true, base: arr},
+		{name: "trap-last-round", imms: []int64{0, 1, 2, memEnd - arr}, fused: true, base: arr},
+		{name: "trap-below-guard", imms: []int64{0, 1}, fused: true, base: nullGuard - 1},
+		{name: "fuel-inside-run", imms: []int64{0, 1, 2, 3}, fused: true, base: arr,
+			setup: func(m *M) { m.Fuel = 12 }},
+		{name: "fuel-at-run-end", imms: []int64{0, 1, 2, 3}, fused: true, base: arr,
+			setup: func(m *M) { m.Fuel = 25 }},
+		{name: "steplimit-inside-run", imms: []int64{0, 1, 2, 3}, fused: true, base: arr,
+			setup: func(m *M) { m.StepLimit = 7 }},
+		{name: "last-round-temp-read-after", imms: []int64{0, 1, 2}, fused: true, base: arr,
+			edit: func(c []obj.Instr) []obj.Instr {
+				c[len(c)-1].A = 2 + 5*2 + 3 // the last round's loaded value
+				return c
+			}},
+		{name: "earlier-temp-read-after", imms: []int64{0, 1, 2}, base: arr,
+			edit: func(c []obj.Instr) []obj.Instr {
+				c[len(c)-1].A = 5 // the first round's loaded value
+				return c
+			}},
+		{name: "base-is-acc", imms: []int64{0, 1, 2}, base: arr,
+			edit: func(c []obj.Instr) []obj.Instr {
+				c[0] = obj.Instr{Op: obj.OpMov, Dst: 1, A: 0} // acc starts at base
+				for p := 1; p+6 < len(c); p += 6 {
+					c[p].A = 1 // mov p, acc
+				}
+				return c
+			}},
+		{name: "p-is-k", imms: []int64{8, 9, 10, 11}, base: arr,
+			edit: func(c []obj.Instr) []obj.Instr {
+				// const overwrites p, so the round loads Mem[2*imm].
+				for p := 1; p+6 < len(c); p += 6 {
+					c[p+1].Dst = c[p].Dst
+					c[p+2].B = c[p].Dst
+				}
+				return c
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := accRunProgram(tc.imms, tc.edit)
+			code := f.Funcs["acc"].Code
+			if op, _ := fuseIndexedRun(code, 1, len(code)-1, "acc"); (op != nil) != tc.fused {
+				t.Fatalf("fused = %v, want %v", op != nil, tc.fused)
+			}
+			runBoth(t, f, tc.setup, "acc", tc.base)
+		})
+	}
 }
 
 // postCallRecord is the backend-comparable slice of a CallInfo: cycles
@@ -554,19 +652,21 @@ func TestBackendSwitchMidMachine(t *testing.T) {
 	}
 }
 
-// TestParseBackend pins the flag grammar.
+// TestParseBackend pins the flag grammar: the two backend names and
+// the empty default, nothing else.
 func TestParseBackend(t *testing.T) {
 	for s, want := range map[string]Backend{
-		"": BackendInterp, "interp": BackendInterp, "interpreter": BackendInterp,
-		"compiled": BackendCompiled, "closure": BackendCompiled,
+		"": BackendInterp, "interp": BackendInterp, "compiled": BackendCompiled,
 	} {
 		got, err := ParseBackend(s)
 		if err != nil || got != want {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Error("ParseBackend(jit) succeeded, want error")
+	for _, s := range []string{"jit", "interpreter", "closure", "closures"} {
+		if _, err := ParseBackend(s); err == nil {
+			t.Errorf("ParseBackend(%q) succeeded, want error", s)
+		}
 	}
 	if BackendInterp.String() != "interp" || BackendCompiled.String() != "compiled" {
 		t.Error("Backend.String round-trip broken")

@@ -469,10 +469,7 @@ func (m *M) Run(entry string, args ...int64) (int64, error) {
 		}
 	}
 	entry = m.interposed(entry)
-	fn, ok := m.Img.Entry[entry]
-	if !ok {
-		fn, ok = m.dynFunc(entry)
-	}
+	fn, ok := m.funcBySym(entry)
 	if !ok {
 		return 0, &LoadError{Msg: fmt.Sprintf("entry function %q not defined", entry)}
 	}
@@ -483,7 +480,7 @@ func (m *M) Run(entry string, args ...int64) (int64, error) {
 			m.fuelEnd = 0
 		}
 	}
-	v, err := m.call(fn, args)
+	v, err := m.call(fn, nil, args)
 	if t, ok := err.(*Trap); ok && t.Unit == "" {
 		t.Unit = m.OwnerOf(t.Func)
 	}
@@ -527,22 +524,20 @@ func (m *M) fetch(textOff int64) {
 	m.prevLine = line
 }
 
-// call runs one simulated function body via exec, firing the PostCall
-// hook (when installed) with the call's frame identity, fuel delta, and
-// outcome. The disabled path is a single nil check so that detached
-// observability costs nothing measurable. Under the compiled backend
-// the body runs as closure-compiled code instead; invoke carries the
-// same hook contract.
-func (m *M) call(fn *obj.Func, args []int64) (int64, error) {
-	if m.backend == BackendCompiled {
-		return m.invoke(m.compiledFor(fn), args)
-	}
+// call runs one simulated function body, firing the PostCall hook
+// (when installed) with the call's frame identity, fuel delta, and
+// outcome. It is the one call wrapper of both engines: interpreter
+// calls, compiled direct and indirect calls, and Run all come through
+// it. cf is fn's compiled form when the caller holds it (a compiled
+// call site's cache entry), else nil. The disabled path is a single nil
+// check so that detached observability costs nothing measurable.
+func (m *M) call(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
 	if m.PostCall == nil {
-		return m.exec(fn, args)
+		return m.exec(fn, cf, args)
 	}
 	depth := m.depth
 	start := m.Cycles
-	v, err := m.exec(fn, args)
+	v, err := m.exec(fn, cf, args)
 	m.PostCall(CallInfo{Fn: fn.Name, Depth: depth, Start: start, Cycles: m.Cycles - start, Err: err})
 	return v, err
 }
@@ -561,7 +556,10 @@ func growArena(s []int64, need int) []int64 {
 	return ns
 }
 
-func (m *M) exec(fn *obj.Func, args []int64) (int64, error) {
+// exec is the frame prologue of both engines: depth and PreCall checks,
+// argument count, a register frame from the arena, and zeroed stack
+// frame memory. It then runs the body on the machine's backend.
+func (m *M) exec(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
 	if m.depth >= MaxCallDepth {
 		return 0, &Trap{Kind: TrapStackOverflow, Msg: "call stack overflow", Func: fn.Name}
 	}
@@ -600,6 +598,12 @@ func (m *M) exec(fn *obj.Func, args []int64) (int64, error) {
 	m.sp = fp + int64(fn.Frame)
 	defer func() { m.sp = fp }()
 
+	if m.backend == BackendCompiled {
+		if cf == nil {
+			cf = m.compiledFor(fn)
+		}
+		return m.runCompiled(cf, regs, fp)
+	}
 	return m.execLoop(fn, regs, fp, 0, true)
 }
 
@@ -683,26 +687,19 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 			}
 			regs[in.Dst] = a
 		case obj.OpCall:
-			v, err := m.dispatch(in.Sym, regs, in.Args, fn, pc)
+			t := m.resolve(in.Sym)
+			v, err := m.invoke(&t, false, regs, in.Args, fn.Name, pc)
 			if err != nil {
 				return 0, err
 			}
 			regs[in.Dst] = v
 		case obj.OpCallInd:
-			target := regs[in.A]
-			callee, ok := m.Img.funcByAddr[target]
-			if !ok {
-				callee, ok = m.dynFuncByAddr(target)
+			callee, err := m.funcAt(regs[in.A], fn.Name, pc)
+			if err != nil {
+				return 0, err
 			}
-			if !ok {
-				return 0, &Trap{Kind: TrapUnresolvedSymbol, Msg: fmt.Sprintf("indirect call to non-function address %#x", target), Func: fn.Name, PC: pc}
-			}
-			m.IndCalls++
-			m.Cycles += m.Costs.CallBase + m.Costs.Indirect +
-				m.Costs.CallPerArg*int64(len(in.Args))
-			argv, abase := m.pushArgs(regs, in.Args)
-			v, err := m.call(callee, argv)
-			m.argTop = abase
+			t := target{fn: callee}
+			v, err := m.invoke(&t, true, regs, in.Args, fn.Name, pc)
 			if err != nil {
 				return 0, err
 			}
@@ -729,31 +726,73 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 	}
 }
 
-// dispatch performs a direct call: to a defined function, or to a
-// registered builtin when the symbol has no definition. Interposed
-// symbols (see Interpose) are redirected before lookup, so a supervisor
-// can reroute every direct call into a component without touching its
-// callers.
-func (m *M) dispatch(sym string, regs []int64, argRegs []obj.Reg, fn *obj.Func, pc int) (int64, error) {
-	sym = m.interposed(sym)
-	argv, abase := m.pushArgs(regs, argRegs)
-	defer func() { m.argTop = abase }()
-	if callee, ok := m.Img.Entry[sym]; ok {
-		m.Calls++
-		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argv))
-		return m.call(callee, argv)
+// target is what a call site resolves to: a function (with its
+// compiled form once the compiled backend has asked for it) or a
+// builtin. With neither the call is undefined. name is the symbol after
+// interposition.
+type target struct {
+	name string
+	fn   *obj.Func
+	cf   *cfunc
+	b    Builtin
+}
+
+// resolve binds a direct call's symbol. This is the one place the
+// binding order lives, for both engines: interposition (see Interpose,
+// so a supervisor can reroute every direct call into a component
+// without touching its callers), then the image, then live dynamic
+// modules, then builtins.
+func (m *M) resolve(sym string) target {
+	t := target{name: m.interposed(sym)}
+	if fn, ok := m.funcBySym(t.name); ok {
+		t.fn = fn
+	} else {
+		t.b = m.Builtins[t.name]
 	}
-	if callee, ok := m.dynFunc(sym); ok {
-		m.Calls++
-		m.Cycles += m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argv))
-		return m.call(callee, argv)
+	return t
+}
+
+// funcAt resolves an indirect call's target address: image text, then
+// live dynamic modules. Interposition deliberately does not apply.
+func (m *M) funcAt(addr int64, caller string, pc int) (*obj.Func, error) {
+	if fn, ok := m.Img.funcByAddr[addr]; ok {
+		return fn, nil
 	}
-	if b, ok := m.Builtins[sym]; ok {
+	if fn, ok := m.dynFuncByAddr(addr); ok {
+		return fn, nil
+	}
+	return nil, &Trap{Kind: TrapUnresolvedSymbol, Msg: fmt.Sprintf("indirect call to non-function address %#x", addr), Func: caller, PC: pc}
+}
+
+// invoke makes a resolved call with arguments from the caller's
+// registers: it counts and charges the call (a builtin is charged to
+// its caller), pushes the arguments, and runs the function or builtin.
+// An unresolved direct call is the undefined-call trap.
+func (m *M) invoke(t *target, indirect bool, regs []int64, argRegs []obj.Reg, caller string, pc int) (int64, error) {
+	cost := m.Costs.CallBase + m.Costs.CallPerArg*int64(len(argRegs))
+	switch {
+	case indirect:
+		m.IndCalls++
+		m.Cycles += cost + m.Costs.Indirect
+	case t.fn != nil:
+		m.Calls++
+		m.Cycles += cost
+	case t.b != nil:
 		m.BuiltinCnt++
 		m.Cycles += m.Costs.Builtin
-		return b(m, argv)
+	default:
+		return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + t.name, Func: caller, PC: pc}
 	}
-	return 0, &Trap{Kind: TrapUndefinedCall, Msg: "call to undefined function " + sym, Func: fn.Name, PC: pc}
+	argv, abase := m.pushArgs(regs, argRegs)
+	var v int64
+	var err error
+	if t.fn != nil {
+		v, err = m.call(t.fn, t.cf, argv)
+	} else {
+		v, err = t.b(m, argv)
+	}
+	m.argTop = abase
+	return v, err
 }
 
 // pushArgs gathers an outgoing argument vector from the caller's
@@ -774,16 +813,26 @@ func (m *M) pushArgs(regs []int64, argRegs []obj.Reg) (argv []int64, base int) {
 	return argv, base
 }
 
+// badAddress is the trap for a load or store outside mapped memory. Both
+// engines build it here, so their trap text cannot drift apart.
+func badAddress(store bool, addr int64, fname string, pc int) *Trap {
+	op := "load from"
+	if store {
+		op = "store to"
+	}
+	return &Trap{Kind: TrapBadAddress, Msg: fmt.Sprintf("%s invalid address %d", op, addr), Func: fname, PC: pc}
+}
+
 func (m *M) load(addr int64, fn *obj.Func, pc int) (int64, error) {
 	if addr < nullGuard || addr >= int64(len(m.Mem)) {
-		return 0, &Trap{Kind: TrapBadAddress, Msg: fmt.Sprintf("load from invalid address %d", addr), Func: fn.Name, PC: pc}
+		return 0, badAddress(false, addr, fn.Name, pc)
 	}
 	return m.Mem[addr], nil
 }
 
 func (m *M) store(addr, val int64, fn *obj.Func, pc int) error {
 	if addr < nullGuard || addr >= int64(len(m.Mem)) {
-		return &Trap{Kind: TrapBadAddress, Msg: fmt.Sprintf("store to invalid address %d", addr), Func: fn.Name, PC: pc}
+		return badAddress(true, addr, fn.Name, pc)
 	}
 	m.Mem[addr] = val
 	return nil

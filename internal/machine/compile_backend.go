@@ -156,13 +156,8 @@ type callSite struct {
 func (img *Image) prog() *imageProg {
 	img.compileOnce.Do(func() {
 		p := &imageProg{byFunc: make(map[*obj.Func]*cfunc, len(img.Entry))}
-		var names []string
-		for name := range img.Entry {
-			names = append(names, name)
-		}
-		sortStrings(names) // deterministic dispatch-slot numbering
 		next := 0
-		for _, name := range names {
+		for _, name := range sortedKeys(img.Entry) { // deterministic dispatch-slot numbering
 			fn := img.Entry[name]
 			p.byFunc[fn] = compileFunc(fn, nil, img, &next)
 		}
@@ -281,7 +276,7 @@ func trapOp(kind TrapKind, msg, fname string, pc int) copFn {
 
 // compileFunc translates one function. m is nil for the static image
 // pass (symbols resolve against the image alone); for dynamic functions
-// it is the owning machine, whose live symbol tables resolve the
+// it is the owning machine, whose image and live modules resolve the
 // module's references. next allocates dispatch-cache slots.
 func compileFunc(fn *obj.Func, m *M, img *Image, next *int) *cfunc {
 	code := fn.Code
@@ -549,15 +544,9 @@ func compileBlock(fn *obj.Func, start, end int, blockIdx []int32, m *M, img *Ima
 			pc++
 
 		case obj.OpAddrGlobal:
-			addr, ok := int64(0), false
+			addr, ok := img.addr(in.Sym)
 			if m != nil {
 				addr, ok = m.resolveAddr(in.Sym)
-			} else {
-				if a, found := img.GlobalAddr[in.Sym]; found {
-					addr, ok = a, true
-				} else if a, found := img.FuncAddr[in.Sym]; found {
-					addr, ok = a, true
-				}
 			}
 			if !ok {
 				// Load/LoadDynamicAs validate every OpAddrGlobal, so this

@@ -1,12 +1,19 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"knit/internal/cmini"
 	"knit/internal/obj"
 )
+
+// loadDynamic loads o as a module named o.Name with no unit
+// attribution.
+func loadDynamic(m *M, o *obj.File) error {
+	return m.LoadDynamicAs(o.Name, "", o, nil)
+}
 
 func TestLoadDynamicBasics(t *testing.T) {
 	base := fileWith(buildFunc("base_fn", 1, 2, 0, []obj.Instr{
@@ -43,7 +50,7 @@ func TestLoadDynamicBasics(t *testing.T) {
 	}}
 	mod.AddSym(&obj.Symbol{Name: "dyn_fn", Kind: obj.SymFunc, Defined: true})
 
-	if err := m.LoadDynamic(mod); err != nil {
+	if err := loadDynamic(m, mod); err != nil {
 		t.Fatalf("LoadDynamic: %v", err)
 	}
 	v, err := m.Run("dyn_fn", 3)
@@ -65,7 +72,7 @@ func TestLoadDynamicBasics(t *testing.T) {
 		{Op: obj.OpRet, A: 2, HasVal: true},
 	}}
 	caller.AddSym(&obj.Symbol{Name: "via_ptr", Kind: obj.SymFunc, Defined: true})
-	if err := m.LoadDynamic(caller); err != nil {
+	if err := loadDynamic(m, caller); err != nil {
 		t.Fatal(err)
 	}
 	v, err = m.Run("via_ptr", 4)
@@ -85,7 +92,7 @@ func TestLoadDynamicCollisionRejected(t *testing.T) {
 	mod := fileWith(buildFunc("f", 0, 1, 0, []obj.Instr{
 		{Op: obj.OpRet, A: 0, HasVal: true},
 	}))
-	if err := m.LoadDynamic(mod); err == nil ||
+	if err := loadDynamic(m, mod); err == nil ||
 		!strings.Contains(err.Error(), "already defined") {
 		t.Errorf("err = %v, want already-defined rejection", err)
 	}
@@ -97,12 +104,12 @@ func TestLoadDynamicUnresolvedRejected(t *testing.T) {
 		{Op: obj.OpAddrGlobal, Dst: 1, Sym: "nowhere", A: obj.NoReg},
 		{Op: obj.OpRet, A: 1, HasVal: true},
 	}))
-	if err := m.LoadDynamic(mod); err == nil ||
+	if err := loadDynamic(m, mod); err == nil ||
 		!strings.Contains(err.Error(), "unresolved symbol") {
 		t.Errorf("err = %v, want unresolved symbol", err)
 	}
 	// Nothing was committed: memory length unchanged.
-	if m.dyn != nil && len(m.dyn.funcs) != 0 {
+	if len(m.mods) != 0 {
 		t.Error("failed load leaked state")
 	}
 }
@@ -124,7 +131,7 @@ func TestStackCannotGrowIntoDynamicData(t *testing.T) {
 		{Kind: obj.InitConst, Offset: 3, Val: 222},
 	}}
 	mod.AddSym(&obj.Symbol{Name: "canary", Kind: obj.SymData, Defined: true})
-	if err := m.LoadDynamic(mod); err != nil {
+	if err := loadDynamic(m, mod); err != nil {
 		t.Fatal(err)
 	}
 	canary, ok := m.resolveAddr("canary")
@@ -137,5 +144,89 @@ func TestStackCannotGrowIntoDynamicData(t *testing.T) {
 	}
 	if m.Mem[canary] != 111 || m.Mem[canary+3] != 222 {
 		t.Error("stack growth corrupted dynamic data")
+	}
+}
+
+// staticCntMod builds a module whose static (local) global cnt holds
+// val, read back by its exported function fname.
+func staticCntMod(name, fname string, val int64) *obj.File {
+	f := obj.NewFile(name)
+	f.Datas["cnt"] = &obj.Data{Name: "cnt", Size: 1, Local: true,
+		Init: []obj.DataInit{{Kind: obj.InitConst, Val: val}}}
+	f.AddSym(&obj.Symbol{Name: "cnt", Kind: obj.SymData, Defined: true, Local: true})
+	f.Funcs[fname] = &obj.Func{Name: fname, NRegs: 2, Code: []obj.Instr{
+		{Op: obj.OpAddrGlobal, Dst: 1, Sym: "cnt", A: obj.NoReg},
+		{Op: obj.OpLoad, Dst: 1, A: 1},
+		{Op: obj.OpRet, A: 1, HasVal: true},
+	}}
+	f.AddSym(&obj.Symbol{Name: fname, Kind: obj.SymFunc, Defined: true})
+	return f
+}
+
+// TestLoadDynamicLocalCollisionRejected: a module's static symbol may
+// not take a name the image or a live module already defines. Such a
+// load is refused with nothing loaded, rather than leaving two
+// definitions of one name for lookups to choose between.
+func TestLoadDynamicLocalCollisionRejected(t *testing.T) {
+	for _, backend := range []Backend{BackendInterp, BackendCompiled} {
+		t.Run(backend.String(), func(t *testing.T) {
+			// Over the image's global cnt = 7.
+			base := fileWith(buildFunc("get_img", 0, 2, 0, []obj.Instr{
+				{Op: obj.OpAddrGlobal, Dst: 1, Sym: "cnt", A: obj.NoReg},
+				{Op: obj.OpLoad, Dst: 1, A: 1},
+				{Op: obj.OpRet, A: 1, HasVal: true},
+			}))
+			base.Datas["cnt"] = &obj.Data{Name: "cnt", Size: 1,
+				Init: []obj.DataInit{{Kind: obj.InitConst, Val: 7}}}
+			base.AddSym(&obj.Symbol{Name: "cnt", Kind: obj.SymData, Defined: true})
+			m := loadFile(t, base)
+			m.SetBackend(backend)
+			snap := m.Snapshot()
+			err := loadDynamic(m, staticCntMod("a", "get_a", 99))
+			var le *LoadError
+			if !errors.As(err, &le) || !strings.Contains(err.Error(), `symbol "cnt" already defined`) {
+				t.Fatalf("static over image global: err = %v, want LoadError naming cnt", err)
+			}
+			if err := m.StateEqual(snap); err != nil {
+				t.Errorf("refused load left residue: %v", err)
+			}
+			if v, err := m.Run("get_img"); err != nil || v != 7 {
+				t.Errorf("get_img = %d, %v; want 7", v, err)
+			}
+			if _, err := m.Run("get_a"); err == nil {
+				t.Error("refused module's function is runnable")
+			}
+
+			// Over another live module's static cnt = 11.
+			m = baseMachine(t)
+			m.SetBackend(backend)
+			if err := loadDynamic(m, staticCntMod("a", "get_a", 11)); err != nil {
+				t.Fatal(err)
+			}
+			snap = m.Snapshot()
+			err = loadDynamic(m, staticCntMod("b", "get_b", 22))
+			if !errors.As(err, &le) || !strings.Contains(err.Error(), `symbol "cnt" already defined`) {
+				t.Fatalf("static over module static: err = %v, want LoadError naming cnt", err)
+			}
+			if err := m.StateEqual(snap); err != nil {
+				t.Errorf("refused load left residue: %v", err)
+			}
+			if v, err := m.Run("get_a"); err != nil || v != 11 {
+				t.Errorf("get_a = %d, %v; want 11", v, err)
+			}
+			// Once the first module is gone the name is free again.
+			if err := m.UnloadDynamic("a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := loadDynamic(m, staticCntMod("b", "get_b", 22)); err != nil {
+				t.Fatalf("load after unload: %v", err)
+			}
+			if v, err := m.Run("get_b"); err != nil || v != 22 {
+				t.Errorf("get_b = %d, %v; want 22", v, err)
+			}
+			if err := m.CheckDynInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"knit/internal/obj"
-)
+import "fmt"
 
 // This file implements run-time symbol interposition: redirecting every
 // direct call (and Run entry) aimed at one function symbol to another
@@ -89,15 +85,6 @@ func (m *M) interposed(sym string) string {
 		sym = next
 	}
 	return sym
-}
-
-// funcBySym resolves a symbol to its function definition across the
-// static image and live dynamic modules, without following redirects.
-func (m *M) funcBySym(sym string) (*obj.Func, bool) {
-	if f, found := m.Img.Entry[sym]; found {
-		return f, true
-	}
-	return m.dynFunc(sym)
 }
 
 // ResetData restores the initial (load-time) contents of the static

@@ -1,9 +1,12 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Snapshot is a restorable copy of a machine's mutable program state:
-// memory, stack pointer, the dynamic-module symbol tables, and the
+// memory, stack pointer, the live dynamic modules, and the
 // interposition redirects. It deliberately excludes the performance
 // counters (Cycles, Executed, ...) — a rollback undoes what the program
 // did, not the record that it ran — and the host-side builtins, which
@@ -12,7 +15,8 @@ type Snapshot struct {
 	mem        []int64
 	sp         int64
 	stackLimit int64
-	dyn        *dynState
+	mods       []*module
+	textTop    int64
 	redirect   map[string]string
 }
 
@@ -24,9 +28,8 @@ func (m *M) Snapshot() *Snapshot {
 		mem:        append([]int64(nil), m.Mem...),
 		sp:         m.sp,
 		stackLimit: m.stackLimit,
-	}
-	if m.dyn != nil {
-		s.dyn = m.dyn.clone()
+		mods:       slices.Clip(m.mods), // records are immutable; a load appends to a copy
+		textTop:    m.textTop,
 	}
 	if m.redirect != nil {
 		s.redirect = map[string]string{}
@@ -39,18 +42,15 @@ func (m *M) Snapshot() *Snapshot {
 
 // Restore rewinds the machine's program state to the snapshot: memory
 // contents (including any since-loaded dynamic modules' data), stack
-// pointer, the dynamic symbol tables, and the interposition redirects.
+// pointer, the live dynamic modules, and the interposition redirects.
 // Modules loaded after the snapshot vanish; modules unloaded after it
 // come back. Statistics and registered builtins are left alone.
 func (m *M) Restore(s *Snapshot) {
 	m.Mem = append([]int64(nil), s.mem...)
 	m.sp = s.sp
 	m.stackLimit = s.stackLimit
-	if s.dyn != nil {
-		m.dyn = s.dyn.clone()
-	} else {
-		m.dyn = nil
-	}
+	m.mods = s.mods
+	m.textTop = s.textTop
 	if s.redirect != nil {
 		m.redirect = map[string]string{}
 		for k, v := range s.redirect {
@@ -62,7 +62,7 @@ func (m *M) Restore(s *Snapshot) {
 	// Redirects and the dynamic-module world just changed wholesale:
 	// drop the compiled backend's per-machine caches. Static compiled
 	// code lives on the Image and is untouched; dynamic functions
-	// recompile lazily against the restored tables.
+	// recompile lazily against the restored modules.
 	m.dynCompiled = nil
 	m.dispVersion++
 }
@@ -96,24 +96,8 @@ func (m *M) StateEqual(s *Snapshot) error {
 			return fmt.Errorf("redirect %q -> %q, snapshot has %q -> %q", k, v, k, sv)
 		}
 	}
-	var live, want []string
-	if m.dyn != nil {
-		for _, mod := range m.dyn.modules {
-			live = append(live, mod.name)
-		}
-	}
-	if s.dyn != nil {
-		for _, mod := range s.dyn.modules {
-			want = append(want, mod.name)
-		}
-	}
-	if len(live) != len(want) {
+	if live, want := m.DynModules(), moduleNames(s.mods); !slices.Equal(live, want) {
 		return fmt.Errorf("live dynamic modules %v, snapshot has %v", live, want)
-	}
-	for i := range live {
-		if live[i] != want[i] {
-			return fmt.Errorf("dynamic module %d is %q, snapshot has %q", i, live[i], want[i])
-		}
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"knit/internal/cmini"
@@ -63,32 +64,30 @@ const (
 )
 
 // Image is a loaded program: globals placed, strings interned, function
-// addresses assigned.
+// addresses assigned. Entry, GlobalAddr and FuncAddr come from its
+// layout, as placed by Load.
 //
 // Sharing contract: an Image is immutable once loaded, so any number of
 // machines may run off the same Image concurrently — each M copies the
 // initial data segment (initMem) into its own Mem at New, and all other
-// Image state (text, entry points, address maps, interned strings, cost
-// model) is only ever read after Load returns. The one sanctioned
-// post-Load write is the build layer assigning SymbolOwner exactly once,
-// before any machine is created from the image. Everything mutable at
-// run time — memory, stack, dynamic modules, interposition redirects,
-// hooks, counters — lives on M, never on Image. Code that adds Image
-// state must either populate it fully inside Load or move it to M;
-// internal/machine's shared-image race test (shared_test.go) is the
-// regression net for violations.
+// Image state (layout, interned strings, cost model) is only ever read
+// after Load returns. The one sanctioned post-Load write is the build
+// layer assigning SymbolOwner exactly once, before any machine is
+// created from the image. Everything mutable at run time — memory,
+// stack, interposition redirects, hooks, counters — lives on M, never
+// on Image. So do dynamic modules: each keeps its own layout on its
+// machine's module list, and nothing a module defines is ever entered
+// into the image's maps. Code that adds Image state must either
+// populate it fully inside Load or move it to M; internal/machine's
+// shared-image race test (shared_test.go) is the regression net for
+// violations.
 type Image struct {
-	File       *obj.File
-	Entry      map[string]*obj.Func
-	GlobalAddr map[string]int64
-	FuncAddr   map[string]int64
-	funcByAddr map[int64]*obj.Func
-	strAddr    []int64
-	initMem    []int64
-	textOff    map[string]int64 // function name -> text offset in bytes
-	TextSize   int64
-	DataWords  int
-	costs      Costs
+	layout
+	File      *obj.File
+	initMem   []int64
+	TextSize  int64
+	DataWords int
+	costs     Costs
 	// SymbolOwner, when set by the build layer, maps program-unique
 	// symbol names to the unit-instance path that defined them, so traps
 	// are attributed to components (fault isolation, not just fault
@@ -111,114 +110,188 @@ type LoadError struct{ Msg string }
 
 func (e *LoadError) Error() string { return "machine: " + e.Msg }
 
+// layout is where one object file was placed: the static image's (see
+// Load) or one dynamic module's (see LoadDynamicAs). Both come from
+// place and are never written afterwards.
+type layout struct {
+	Entry      map[string]*obj.Func // functions by name
+	GlobalAddr map[string]int64
+	FuncAddr   map[string]int64
+	funcByAddr map[int64]*obj.Func
+	textOff    map[string]int64 // function name -> text offset in bytes
+	strAddr    []int64          // string literal index -> data address
+	dataBase   int64            // data occupies [dataBase, dataEnd) of memory
+	dataEnd    int64
+	textBase   int64 // text occupies [textBase, textEnd) of text offsets
+	textEnd    int64
+}
+
+// addr resolves a symbol the layout defines to its address.
+func (l *layout) addr(sym string) (int64, bool) {
+	if a, ok := l.GlobalAddr[sym]; ok {
+		return a, true
+	}
+	a, ok := l.FuncAddr[sym]
+	return a, ok
+}
+
 // Load places the merged object file in memory. Every data symbol
 // referenced by code or data initializers must be defined in f; function
 // symbols may be left undefined if the runtime provides them as builtins
 // (checked at call time).
 func Load(f *obj.File, costs Costs) (*Image, error) {
-	img := &Image{
-		File:       f,
+	l, data, err := place(f, costs, nil)
+	if err != nil {
+		return nil, err
+	}
+	initMem := make([]int64, l.dataEnd)
+	copy(initMem[l.dataBase:], data)
+	return &Image{
+		layout:    l,
+		File:      f,
+		initMem:   initMem,
+		TextSize:  l.textEnd,
+		DataWords: int(l.dataEnd),
+		costs:     costs,
+	}, nil
+}
+
+// place lays out f: its globals in name order, then its string
+// literals, in data; its functions in name order in text. With m nil, f
+// is the static image, placed from nullGuard and text offset 0, and it
+// must define every data symbol it references. Otherwise f is a dynamic
+// module placed at the end of m's memory and text. Its references may
+// also resolve into m, and it may define no name m already defines,
+// statics included: every name then has one definition, so the order in
+// which lookups walk the image and the modules cannot matter. Its
+// functions are cloned with OpAddrString rewritten into OpConst, since
+// its strings are not in the image's table. place returns the layout
+// and the initial contents of [dataBase, dataEnd).
+func place(f *obj.File, costs Costs, m *M) (layout, []int64, error) {
+	prefix, dataStart, textStart := "", int64(nullGuard), int64(0)
+	if m != nil {
+		prefix, dataStart, textStart = "dynamic: ", int64(len(m.Mem)), m.textTop
+	}
+	fail := func(format string, args ...any) (layout, []int64, error) {
+		return layout{}, nil, &LoadError{Msg: prefix + fmt.Sprintf(format, args...)}
+	}
+	l := layout{
 		Entry:      f.Funcs,
-		GlobalAddr: map[string]int64{},
-		FuncAddr:   map[string]int64{},
-		funcByAddr: map[int64]*obj.Func{},
-		textOff:    map[string]int64{},
-		costs:      costs,
+		GlobalAddr: make(map[string]int64, len(f.Datas)),
+		FuncAddr:   make(map[string]int64, len(f.Funcs)),
+		funcByAddr: make(map[int64]*obj.Func, len(f.Funcs)),
+		textOff:    make(map[string]int64, len(f.Funcs)),
+		dataBase:   dataStart,
+		textBase:   textStart,
 	}
-	// Data placement: globals first, then string literals.
-	addr := int64(nullGuard)
-	var order []string
-	for name := range f.Datas {
-		order = append(order, name)
-	}
-	// Deterministic placement.
-	sortStrings(order)
-	for _, name := range order {
-		d := f.Datas[name]
-		img.GlobalAddr[name] = addr
-		addr += int64(d.Size)
-	}
-	strAddr := make([]int64, len(f.Strings))
-	for i, s := range f.Strings {
-		strAddr[i] = addr
-		addr += int64(len(s)) + 1
-	}
-	img.strAddr = strAddr
-	img.DataWords = int(addr)
-	img.initMem = make([]int64, addr)
-	for i, s := range f.Strings {
-		base := strAddr[i]
-		for j := 0; j < len(s); j++ {
-			img.initMem[base+int64(j)] = int64(s[j])
-		}
-	}
-	// Text placement, deterministic by name.
-	var fnames []string
-	for name := range f.Funcs {
-		fnames = append(fnames, name)
-	}
-	sortStrings(fnames)
-	text := int64(0)
-	for _, name := range fnames {
-		fn := f.Funcs[name]
-		img.textOff[name] = text
-		a := textBase + text
-		img.FuncAddr[name] = a
-		img.funcByAddr[a] = fn
-		text += int64(len(fn.Code)*costs.InstrBytes + costs.FuncPad)
-	}
-	img.TextSize = text
-	// Apply data initializers now that addresses exist.
 	resolve := func(sym string) (int64, bool) {
-		if a, ok := img.GlobalAddr[sym]; ok {
+		if a, ok := l.addr(sym); ok {
 			return a, true
 		}
-		if a, ok := img.FuncAddr[sym]; ok {
-			return a, true
+		if m != nil {
+			return m.resolveAddr(sym)
 		}
 		return 0, false
 	}
-	for _, name := range order {
-		d := f.Datas[name]
-		base := img.GlobalAddr[name]
-		for _, init := range d.Init {
+	addr := dataStart
+	datas := sortedKeys(f.Datas)
+	for _, name := range datas {
+		if _, dup := resolve(name); dup {
+			return fail("symbol %q already defined", name)
+		}
+		l.GlobalAddr[name] = addr
+		addr += int64(f.Datas[name].Size)
+	}
+	l.strAddr = make([]int64, len(f.Strings))
+	for i, s := range f.Strings {
+		l.strAddr[i] = addr
+		addr += int64(len(s)) + 1
+	}
+	l.dataEnd = addr
+
+	funcs := sortedKeys(f.Funcs)
+	if m != nil {
+		l.Entry = make(map[string]*obj.Func, len(f.Funcs))
+	}
+	text := textStart
+	for _, name := range funcs {
+		if _, dup := resolve(name); dup {
+			return fail("symbol %q already defined", name)
+		}
+		fn := f.Funcs[name]
+		if m != nil {
+			fn = fn.Clone()
+			for i := range fn.Code {
+				if fn.Code[i].Op != obj.OpAddrString {
+					continue
+				}
+				idx := int(fn.Code[i].Imm)
+				if idx < 0 || idx >= len(l.strAddr) {
+					return fail("func %s: bad string index %d", name, idx)
+				}
+				fn.Code[i] = obj.Instr{Op: obj.OpConst, Dst: fn.Code[i].Dst,
+					Imm: l.strAddr[idx], A: obj.NoReg, B: obj.NoReg}
+			}
+			l.Entry[name] = fn
+		}
+		l.textOff[name] = text
+		a := textBase + text
+		l.FuncAddr[name] = a
+		l.funcByAddr[a] = fn
+		text += int64(len(fn.Code)*costs.InstrBytes + costs.FuncPad)
+	}
+	l.textEnd = text
+
+	// Initial data, now that every address exists.
+	mem := make([]int64, l.dataEnd-dataStart)
+	for i, s := range f.Strings {
+		base := l.strAddr[i] - dataStart
+		for j := 0; j < len(s); j++ {
+			mem[base+int64(j)] = int64(s[j])
+		}
+	}
+	for _, name := range datas {
+		base := l.GlobalAddr[name] - dataStart
+		for _, init := range f.Datas[name].Init {
 			switch init.Kind {
 			case obj.InitConst:
-				img.initMem[base+int64(init.Offset)] = init.Val
+				mem[base+int64(init.Offset)] = init.Val
 			case obj.InitString:
-				if init.Index < 0 || init.Index >= len(strAddr) {
-					return nil, &LoadError{Msg: fmt.Sprintf("data %s: bad string index %d", name, init.Index)}
+				if init.Index < 0 || init.Index >= len(l.strAddr) {
+					return fail("data %s: bad string index %d", name, init.Index)
 				}
-				img.initMem[base+int64(init.Offset)] = strAddr[init.Index]
+				mem[base+int64(init.Offset)] = l.strAddr[init.Index]
 			case obj.InitSym:
 				a, ok := resolve(init.Sym)
 				if !ok {
-					return nil, &LoadError{Msg: fmt.Sprintf("data %s: unresolved symbol %q", name, init.Sym)}
+					return fail("data %s: unresolved symbol %q", name, init.Sym)
 				}
-				img.initMem[base+int64(init.Offset)] = a
+				mem[base+int64(init.Offset)] = a
 			}
 		}
 	}
 	// Every OpAddrGlobal operand must resolve.
-	for fname, fn := range f.Funcs {
-		for i := range fn.Code {
-			if fn.Code[i].Op == obj.OpAddrGlobal {
-				if _, ok := resolve(fn.Code[i].Sym); !ok {
-					return nil, &LoadError{Msg: fmt.Sprintf(
-						"func %s: address of unresolved symbol %q", fname, fn.Code[i].Sym)}
+	for _, name := range funcs {
+		code := l.Entry[name].Code
+		for i := range code {
+			if code[i].Op == obj.OpAddrGlobal {
+				if _, ok := resolve(code[i].Sym); !ok {
+					return fail("func %s: address of unresolved symbol %q", name, code[i].Sym)
 				}
 			}
 		}
 	}
-	return img, nil
+	return l, mem, nil
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// sortedKeys returns a map's keys in order: placement is deterministic.
+func sortedKeys[V any](mp map[string]V) []string {
+	keys := make([]string, 0, len(mp))
+	for k := range mp {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Builtin is a host-provided function callable from simulated code, used
@@ -364,7 +437,8 @@ type M struct {
 	prevLine   int64
 	depth      int
 	fuelEnd    int64             // absolute Executed bound for the current Run (0 = none)
-	dyn        *dynState         // dynamically loaded modules (nil until used)
+	mods       []*module         // live dynamic modules, in load order
+	textTop    int64             // end of placed text: the image's, then the modules'
 	redirect   map[string]string // interposed function symbols (nil until used)
 	// regStack and argStack are per-call frame pools: every call's
 	// virtual registers and outgoing argument vector are slices of these
@@ -441,7 +515,8 @@ func (m *M) Reset() {
 		}
 	}
 	m.prevLine = -100
-	m.dyn = nil // dynamic modules do not survive a reset
+	m.mods = nil // dynamic modules do not survive a reset
+	m.textTop = m.Img.TextSize
 	m.redirect = nil
 	m.depth = 0
 	m.fuelEnd = 0
@@ -485,21 +560,6 @@ func (m *M) Run(entry string, args ...int64) (int64, error) {
 		t.Unit = m.OwnerOf(t.Func)
 	}
 	return v, err
-}
-
-// OwnerOf maps a (renamed, program-unique) function or data symbol back
-// to the unit instance that owns it, consulting the image's link-time
-// symbol table and then the live dynamic modules. Empty when unknown.
-func (m *M) OwnerOf(sym string) string {
-	if owner, ok := m.Img.SymbolOwner[sym]; ok {
-		return owner
-	}
-	if m.dyn != nil {
-		if owner, ok := m.dyn.owner[sym]; ok {
-			return owner
-		}
-	}
-	return ""
 }
 
 // fetch models the instruction fetch of one instruction at the given
@@ -617,10 +677,7 @@ func (m *M) exec(fn *obj.Func, cf *cfunc, args []int64) (int64, error) {
 func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (int64, error) {
 	var textOff, ib int64
 	if model {
-		textOff = m.Img.textOff[fn.Name]
-		if dfn, ok := m.dynFunc(fn.Name); ok && dfn == fn {
-			textOff = m.dyn.textOff[fn.Name]
-		}
+		textOff = m.funcTextOff(fn)
 		ib = int64(m.Costs.InstrBytes)
 	}
 	for {
@@ -678,9 +735,8 @@ func (m *M) execLoop(fn *obj.Func, regs []int64, fp int64, pc int, model bool) (
 		case obj.OpAddrLocal:
 			regs[in.Dst] = fp + in.Imm
 		case obj.OpAddrString:
-			// String addresses are data addresses computed at load time;
-			// re-derive via the preloaded image: strings live after
-			// globals. Precomputed per-image table:
+			// The image's string table; a dynamic module's string
+			// operands were rewritten into OpConst when it was placed.
 			a, err := m.stringAddr(int(in.Imm))
 			if err != nil {
 				return 0, &Trap{Kind: TrapBadStringIndex, Msg: err.Error(), Func: fn.Name, PC: pc}
@@ -750,18 +806,6 @@ func (m *M) resolve(sym string) target {
 		t.b = m.Builtins[t.name]
 	}
 	return t
-}
-
-// funcAt resolves an indirect call's target address: image text, then
-// live dynamic modules. Interposition deliberately does not apply.
-func (m *M) funcAt(addr int64, caller string, pc int) (*obj.Func, error) {
-	if fn, ok := m.Img.funcByAddr[addr]; ok {
-		return fn, nil
-	}
-	if fn, ok := m.dynFuncByAddr(addr); ok {
-		return fn, nil
-	}
-	return nil, &Trap{Kind: TrapUnresolvedSymbol, Msg: fmt.Sprintf("indirect call to non-function address %#x", addr), Func: caller, PC: pc}
 }
 
 // invoke makes a resolved call with arguments from the caller's

@@ -56,7 +56,7 @@ func TestSharedImageConcurrentMachines(t *testing.T) {
 				{Op: obj.OpRet, A: 0, HasVal: true},
 			}}
 			mod.AddSym(&obj.Symbol{Name: "repl", Kind: obj.SymFunc, Defined: true})
-			if err := m.LoadDynamic(mod); err != nil {
+			if err := loadDynamic(m, mod); err != nil {
 				t.Errorf("machine %d: LoadDynamic: %v", id, err)
 				return
 			}
@@ -153,7 +153,7 @@ func TestSharedImageConcurrentCompiledMachines(t *testing.T) {
 				{Op: obj.OpRet, A: 0, HasVal: true},
 			}}
 			mod.AddSym(&obj.Symbol{Name: "repl", Kind: obj.SymFunc, Defined: true})
-			if err := m.LoadDynamic(mod); err != nil {
+			if err := loadDynamic(m, mod); err != nil {
 				t.Errorf("machine %d: LoadDynamic: %v", id, err)
 				return
 			}

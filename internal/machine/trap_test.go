@@ -219,7 +219,7 @@ func TestSnapshotRestore(t *testing.T) {
 		{Op: obj.OpRet, A: 1, HasVal: true},
 	}}
 	mod.AddSym(&obj.Symbol{Name: "dyn_one", Kind: obj.SymFunc, Defined: true})
-	if err := m.LoadDynamic(mod); err != nil {
+	if err := loadDynamic(m, mod); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,7 +239,7 @@ func TestSnapshotRestore(t *testing.T) {
 
 	// The other direction: a snapshot taken while a module is live
 	// brings the module back after an unload.
-	if err := m.LoadDynamic(mod); err != nil {
+	if err := loadDynamic(m, mod); err != nil {
 		t.Fatal(err)
 	}
 	withMod := m.Snapshot()

@@ -44,7 +44,7 @@ func baseMachine(t *testing.T) *M {
 func TestUnloadReclaimsSymbolsAndMemory(t *testing.T) {
 	m := baseMachine(t)
 	memBefore := len(m.Mem)
-	if err := m.LoadDynamic(constMod("mod1", "fn1", "g1", 11)); err != nil {
+	if err := loadDynamic(m, constMod("mod1", "fn1", "g1", 11)); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := m.Run("fn1"); err != nil || v != 11 {
@@ -66,7 +66,7 @@ func TestUnloadReclaimsSymbolsAndMemory(t *testing.T) {
 		t.Error(err)
 	}
 	// The same module name is free for reuse after the unload.
-	if err := m.LoadDynamic(constMod("mod1", "fn1", "g1", 22)); err != nil {
+	if err := loadDynamic(m, constMod("mod1", "fn1", "g1", 22)); err != nil {
 		t.Fatalf("reload after unload: %v", err)
 	}
 	if v, err := m.Run("fn1"); err != nil || v != 22 {
@@ -76,10 +76,10 @@ func TestUnloadReclaimsSymbolsAndMemory(t *testing.T) {
 
 func TestUnloadRefusedWhileReferenced(t *testing.T) {
 	m := baseMachine(t)
-	if err := m.LoadDynamic(constMod("prov", "p_fn", "p_g", 5)); err != nil {
+	if err := loadDynamic(m, constMod("prov", "p_fn", "p_g", 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadDynamic(callerMod("cons", "c_fn", "p_fn")); err != nil {
+	if err := loadDynamic(m, callerMod("cons", "c_fn", "p_fn")); err != nil {
 		t.Fatal(err)
 	}
 	err := m.UnloadDynamic("prov")
@@ -116,7 +116,7 @@ func TestUnloadUnknownModule(t *testing.T) {
 		!strings.Contains(err.Error(), `no loaded module "ghost"`) {
 		t.Errorf("err = %v, want no-loaded-module error", err)
 	}
-	if err := m.LoadDynamic(constMod("mod1", "fn1", "g1", 1)); err != nil {
+	if err := loadDynamic(m, constMod("mod1", "fn1", "g1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.UnloadDynamic("mod1"); err != nil {
@@ -133,10 +133,10 @@ func TestUnloadUnknownModule(t *testing.T) {
 // append fresh addresses past the high-water mark.
 func TestUnloadMiddleModuleLeavesZeroedHole(t *testing.T) {
 	m := baseMachine(t)
-	if err := m.LoadDynamic(constMod("lo", "lo_fn", "lo_g", 1)); err != nil {
+	if err := loadDynamic(m, constMod("lo", "lo_fn", "lo_g", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadDynamic(constMod("hi", "hi_fn", "hi_g", 2)); err != nil {
+	if err := loadDynamic(m, constMod("hi", "hi_fn", "hi_g", 2)); err != nil {
 		t.Fatal(err)
 	}
 	memWithBoth := len(m.Mem)

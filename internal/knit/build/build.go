@@ -153,8 +153,9 @@ func Build(opts Options) (*Result, error) {
 	res.Schedule = schedule
 
 	// Optional flattening (§6): merge the chosen region's sources. With
-	// a cache, an unchanged region is recognized by its fingerprint
-	// before merging, so a warm build skips the merge entirely.
+	// a cache, an unchanged region is recognized by the per-file keys of
+	// its sources before merging, so a warm build skips the merge
+	// entirely.
 	instances := prog.SortedInstances()
 	var merged *cmini.File
 	var mergedObj *obj.File // cached compile of the flattened region
@@ -172,7 +173,13 @@ func Build(opts Options) (*Result, error) {
 		}
 		if len(region) > 0 {
 			if opts.Cache != nil {
-				mergedKey = regionCacheKey(res.copts, region)
+				var keys []string
+				for _, inst := range region {
+					for i := range inst.Files {
+						keys = append(keys, inst.FileKey(i))
+					}
+				}
+				mergedKey = cacheKey(res.copts, true, keys...)
 				mergedObj, _ = opts.Cache.lookup(mergedKey)
 			}
 			if mergedObj == nil {
@@ -196,12 +203,10 @@ func Build(opts Options) (*Result, error) {
 	start = time.Now()
 	var jobs []compileJob
 	if merged != nil {
-		jobs = append(jobs, compileJob{label: "flattened region", file: merged, key: mergedKey})
+		jobs = append(jobs, compileJob{region: merged, key: mergedKey})
 	}
 	for _, inst := range modular {
-		for _, f := range inst.Files {
-			jobs = append(jobs, compileJob{label: inst.Path, file: f})
-		}
+		jobs = appendFileJobs(jobs, inst)
 	}
 	objs, hits, err := runCompileJobs(jobs, res.copts, opts.Cache, opts.Parallelism)
 	res.Timings.CompileJobs = len(jobs)
@@ -259,13 +264,22 @@ func Build(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// compileJob is one translation unit to compile: a source file plus a
-// diagnostic label, and an optional precomputed cache key (the
-// flattened region's; per-file keys are hashed on the worker).
+// compileJob is one translation unit to compile: file fi of inst, keyed
+// on the worker, or (inst nil) the flattened region, keyed before the
+// merge.
 type compileJob struct {
-	label string
-	file  *cmini.File
-	key   string
+	inst   *link.Instance
+	fi     int
+	region *cmini.File
+	key    string // the region's
+}
+
+// appendFileJobs appends one job per C file of inst.
+func appendFileJobs(jobs []compileJob, inst *link.Instance) []compileJob {
+	for i := range inst.Files {
+		jobs = append(jobs, compileJob{inst: inst, fi: i})
+	}
+	return jobs
 }
 
 // runCompileJobs compiles every job, consulting cache when non-nil,
@@ -295,10 +309,13 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 			defer wg.Done()
 			for i := range work {
 				job := jobs[i]
-				key := job.key
+				file, label, key := job.region, "flattened region", job.key
+				if job.inst != nil {
+					file, label = job.inst.Files[job.fi], job.inst.Path
+				}
 				if cache != nil {
-					if key == "" {
-						key = fileCacheKey(copts, job.file)
+					if job.inst != nil {
+						key = cacheKey(copts, false, job.inst.FileKey(job.fi))
 					}
 					if o, ok := cache.lookup(key); ok {
 						objs[i] = o
@@ -306,9 +323,9 @@ func runCompileJobs(jobs []compileJob, copts compile.Options, cache *Cache, par 
 						continue
 					}
 				}
-				o, err := compile.Compile(job.file, copts)
+				o, err := compile.Compile(file, copts)
 				if err != nil {
-					errs[i] = fmt.Errorf("%s: %w", job.label, err)
+					errs[i] = fmt.Errorf("%s: %w", label, err)
 					continue
 				}
 				if cache != nil {
@@ -366,22 +383,4 @@ func SourceOf(prog *link.Program, filter func(*link.Instance) bool) (string, err
 		return "", err
 	}
 	return cmini.Print(merged), nil
-}
-
-// compileInstance compiles one instance's C files into a single object
-// (assembly objects are appended as-is) — the unit of code a dynamic
-// load ships to the machine.
-func compileInstance(inst *link.Instance, copts compile.Options) (*obj.File, error) {
-	out := obj.NewFile(inst.Path)
-	for _, f := range inst.Files {
-		o, err := compile.Compile(f, copts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", inst.Path, err)
-		}
-		obj.Append(out, o)
-	}
-	for _, o := range inst.Objects {
-		obj.Append(out, o.Clone())
-	}
-	return out, nil
 }

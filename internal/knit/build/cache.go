@@ -11,28 +11,28 @@ import (
 	"path/filepath"
 	"sync"
 
-	"knit/internal/cmini"
 	"knit/internal/compile"
-	"knit/internal/knit/flatten"
-	"knit/internal/knit/link"
 	"knit/internal/obj"
 )
 
 // Cache is a content-addressed store of compiled translation units,
 // shared across builds (and across goroutines within one build). A
-// unit instance's compiled object depends only on its renamed sources
-// and the compiler options, so the cache key is a hash over exactly
-// that: the instance-renamed source text — which already encodes the
-// resolved import/export wiring via the __kN suffixes and provider
-// names — plus compile.Options.Key(). Flattened regions are keyed by
-// flatten.Fingerprint over the region's ordered instance sources, so a
-// warm build skips both the merge and the compile.
+// translation unit's compiled object depends only on its sources as
+// elaboration renamed them and on the compiler options, so the key is
+// a hash over exactly those inputs: compile.Options.Key() plus the
+// per-file key (link.Instance.FileKey) of each source — its name, its
+// text, and the names its renames leave at its rename sites, which
+// already encode the resolved import/export wiring. A flattened region
+// is keyed by the per-file keys of all its sources, so a warm build
+// skips both the merge and the compile. A hit hashes keys only; it
+// prints nothing.
 //
-// Invalidation is automatic: any change to a unit's sources, to its
-// wiring (which renames identifiers), or to the optimizer settings
-// changes the key, and the stale entry is simply never looked up
-// again. Entries are immutable; lookups and stores deep-copy so no
-// build can mutate another's objects.
+// Invalidation is automatic: any change to a unit's source text, to
+// the wiring a file uses (which renames its identifiers), or to the
+// optimizer settings changes the key, and the stale entry is simply
+// never looked up again. Entries are immutable: a compiled object is
+// never mutated once built, so lookups and stores share the stored
+// object with every build that links it.
 type Cache struct {
 	dir string // optional disk backing; "" = memory only
 
@@ -73,7 +73,8 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.mem)}
 }
 
-// lookup returns a private copy of the object stored under key.
+// lookup returns the object stored under key, shared with every other
+// build that looks it up.
 func (c *Cache) lookup(key string) (*obj.File, bool) {
 	c.mu.Lock()
 	o, ok := c.mem[key]
@@ -90,20 +91,17 @@ func (c *Cache) lookup(key string) (*obj.File, bool) {
 		c.misses++
 	}
 	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return o.Clone(), true
+	return o, ok
 }
 
-// store records o under key. The cache keeps its own copy.
+// store records o under key. o is shared, not copied: the caller must
+// not mutate it afterwards.
 func (c *Cache) store(key string, o *obj.File) {
-	cp := o.Clone()
 	c.mu.Lock()
-	c.mem[key] = cp
+	c.mem[key] = o
 	c.mu.Unlock()
 	if c.dir != "" {
-		c.writeDisk(key, cp)
+		c.writeDisk(key, o)
 	}
 }
 
@@ -175,26 +173,17 @@ func (c *Cache) writeDisk(key string, o *obj.File) {
 	}
 }
 
-// fileCacheKey is the content hash of one translation unit: the
-// compiler configuration plus the (instance-renamed) source.
-func fileCacheKey(copts compile.Options, f *cmini.File) string {
+// cacheKey is the content hash of one translation unit's compiled
+// object: the compiler configuration plus the per-file keys
+// (link.Instance.FileKey) of the sources it compiles — one file for a
+// modular job, or every file of a flattened region in merge order.
+func cacheKey(copts compile.Options, flat bool, fileKeys ...string) string {
 	h := sha256.New()
-	io.WriteString(h, "file\x00")
 	io.WriteString(h, copts.Key())
-	h.Write([]byte{0})
-	io.WriteString(h, f.Name)
-	h.Write([]byte{0})
-	io.WriteString(h, cmini.Print(f))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// regionCacheKey is the content hash of a flattened region's compiled
-// object: the compiler configuration plus the region fingerprint.
-func regionCacheKey(copts compile.Options, region []*link.Instance) string {
-	h := sha256.New()
-	io.WriteString(h, "flat\x00")
-	io.WriteString(h, copts.Key())
-	h.Write([]byte{0})
-	io.WriteString(h, flatten.Fingerprint(region))
+	fmt.Fprintf(h, "\x00flat=%t\x00", flat)
+	for _, k := range fileKeys {
+		io.WriteString(h, k)
+		h.Write([]byte{0})
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }

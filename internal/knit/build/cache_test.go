@@ -169,6 +169,79 @@ int serve_outer(int s) { return serve_inner(s) + 1; }
 	}
 }
 
+// TestCacheKeyPrecision: a file's key covers its source text and only
+// the renames that fire in it. In a two-file unit, the file that uses
+// neither its sibling's new function nor the unit's import keeps
+// hitting when the sibling gains a non-static function, and when that
+// import is rewired; a comment added to it alone makes it miss.
+func TestCacheKeyPrecision(t *testing.T) {
+	units := func(wire string) map[string]string {
+		return map[string]string{"t.unit": `
+bundletype Serve = { serve_web }
+bundletype Aux = { aux }
+unit AuxA = { exports [ a : Aux ]; files { "auxa.c" }; }
+unit AuxB = { exports [ a : Aux ]; files { "auxb.c" }; }
+unit Two = {
+  imports [ x : Aux ];
+  exports [ s : Serve ];
+  files { "main.c", "side.c" };
+}
+unit Top = {
+  exports [ o : Serve ];
+  link { [p] <- AuxA <- []; [q] <- AuxB <- []; [o] <- Two <- [` + wire + `]; };
+}
+`}
+	}
+	sources := link.Sources{
+		"auxa.c": `int aux(void) { return 10; }`,
+		"auxb.c": `int aux(void) { return 20; }`,
+		"main.c": `
+int side_val(void);
+int serve_web(int s) { return side_val() + 1; }
+`,
+		"side.c": `
+int aux(void);
+int side_val(void) { return aux(); }
+`,
+	}
+	cache := NewCache()
+	build := func(wire string, srcs link.Sources, wantHits int, want int64) {
+		t.Helper()
+		res, err := Build(Options{Top: "Top", UnitFiles: units(wire), Sources: srcs, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Timings.CompileJobs != 4 || res.Timings.CacheHits != wantHits {
+			t.Errorf("wired to %s: %d/%d hits, want %d/4",
+				wire, res.Timings.CacheHits, res.Timings.CompileJobs, wantHits)
+		}
+		if v, err := res.Run(res.NewMachine(), "o", "serve_web", 0); err != nil || v != want {
+			t.Errorf("wired to %s: serve_web = %d, %v; want %d", wire, v, err, want)
+		}
+	}
+	build("p", sources, 0, 11)
+
+	// side.c gains a non-static function: only side.c recompiles.
+	grown := link.Sources{}
+	for k, v := range sources {
+		grown[k] = v
+	}
+	grown["side.c"] += "int side_extra(int v) { return v; }\n"
+	build("p", grown, 3, 11)
+
+	// The import x is rewired from AuxA to AuxB: only side.c, which
+	// calls aux, recompiles.
+	build("q", sources, 3, 21)
+
+	// Keys cover the source text, so a comment alone is an edit.
+	commented := link.Sources{}
+	for k, v := range sources {
+		commented[k] = v
+	}
+	commented["main.c"] = "// entry point\n" + sources["main.c"]
+	build("q", commented, 3, 21)
+}
+
 // TestCacheFlattenedRegion: with flattening on, the whole region is one
 // cache entry; a warm build skips the merge and the compile.
 func TestCacheFlattenedRegion(t *testing.T) {

@@ -123,24 +123,8 @@ func (lu *LoadedUnit) Unload(m *machine.M) error {
 		}
 	}
 	snap := m.Snapshot()
-	for i := len(lu.Instance.Inits) - 1; i >= 0; i-- {
-		ini := lu.Instance.Inits[i]
-		if !ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		event(m, lu.modName, "fini")
-		if err != nil {
-			m.Restore(snap)
-			return &LifecycleError{
-				Op:         "unload",
-				Unit:       lu.modName,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
+	if err := runSteps(m, instanceSteps(lu.Instance, lu.modName, true), "fini", "unload", snap, nil); err != nil {
+		return err
 	}
 	if err := m.UnloadDynamic(lu.modName); err != nil {
 		m.Restore(snap)

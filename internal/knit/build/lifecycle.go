@@ -2,7 +2,12 @@ package build
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"knit/internal/knit/link"
+	"knit/internal/knit/sched"
+	"knit/internal/machine"
 )
 
 // LifecycleError is the structured failure report for every component
@@ -78,4 +83,44 @@ func stepNoun(op string) string {
 	default:
 		return "initializer"
 	}
+}
+
+// runSteps runs steps in order on m, reporting each to the observer as
+// an evt ("init" or "fini") of its instance once it has run. At the
+// first failure it builds the *LifecycleError for op, lets unwind (when
+// non-nil) add to it, restores snap, and returns the error marked
+// rolled back.
+func runSteps(m *machine.M, steps []sched.Step, evt, op string, snap *machine.Snapshot,
+	unwind func(failed int, lerr *LifecycleError)) error {
+	for i, st := range steps {
+		_, err := m.Run(st.Global)
+		event(m, st.Instance, evt)
+		if err == nil {
+			continue
+		}
+		lerr := &LifecycleError{Op: op, Unit: st.Instance, Func: st.Func, Global: st.Global, Err: err}
+		if unwind != nil {
+			unwind(i, lerr)
+		}
+		m.Restore(snap)
+		lerr.RolledBack = true
+		return lerr
+	}
+	return nil
+}
+
+// instanceSteps returns inst's initializers in declaration order or,
+// with fini, its finalizers in reverse declaration order, as steps
+// reported under label.
+func instanceSteps(inst *link.Instance, label string, fini bool) []sched.Step {
+	var steps []sched.Step
+	for _, ini := range inst.Inits {
+		if ini.Finalizer == fini {
+			steps = append(steps, sched.Step{Global: ini.GlobalName, Func: ini.Func, Instance: label, Bundle: ini.Bundle})
+		}
+	}
+	if fini {
+		slices.Reverse(steps)
+	}
+	return steps
 }

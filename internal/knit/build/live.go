@@ -7,6 +7,7 @@ import (
 	"knit/internal/knit/lang"
 	"knit/internal/knit/link"
 	"knit/internal/machine"
+	"knit/internal/obj"
 )
 
 // This file holds the three steps every live re-composition is made of
@@ -67,9 +68,14 @@ func ParseUnitFiles(unitFiles map[string]string) ([]*lang.File, error) {
 // state before the call; op names the operation a failing initializer
 // reports.
 func (r *Result) load(m *machine.M, inst *link.Instance, op string) (*LoadedUnit, error) {
-	o, err := compileInstance(inst, r.copts)
+	objs, _, err := runCompileJobs(appendFileJobs(nil, inst), r.copts, nil, 1)
 	if err != nil {
 		return nil, err
+	}
+	// Assembly objects link as-is after the compiled C files.
+	o := obj.NewFile(inst.Path)
+	for _, f := range append(objs, inst.Objects...) {
+		obj.Append(o, f)
 	}
 	// The module name and attribution carry the instance ID so repeated
 	// loads of the same unit stay distinguishable.
@@ -78,35 +84,10 @@ func (r *Result) load(m *machine.M, inst *link.Instance, op string) (*LoadedUnit
 	if err := m.LoadDynamicAs(name, name, o, inst); err != nil {
 		return nil, err
 	}
-	if err := runInits(m, inst, name, op, snap); err != nil {
+	if err := runSteps(m, instanceSteps(inst, name, false), "init", op, snap, nil); err != nil {
 		return nil, err
 	}
 	return &LoadedUnit{Instance: inst, modName: name}, nil
-}
-
-// runInits runs inst's initializers in declaration order, reporting each
-// to the observer as an "init" of label. A failing initializer restores
-// snap and is returned as a rolled-back *LifecycleError for op.
-func runInits(m *machine.M, inst *link.Instance, label, op string, snap *machine.Snapshot) error {
-	for _, ini := range inst.Inits {
-		if ini.Finalizer {
-			continue
-		}
-		_, err := m.Run(ini.GlobalName)
-		event(m, label, "init")
-		if err != nil {
-			m.Restore(snap)
-			return &LifecycleError{
-				Op:         op,
-				Unit:       label,
-				Func:       ini.Func,
-				Global:     ini.GlobalName,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
-	}
-	return nil
 }
 
 // LoadElaborated loads an already-elaborated instance onto m: compile,

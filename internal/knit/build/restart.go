@@ -46,7 +46,7 @@ func (r *Result) InstanceByPath(m *machine.M, path string) *link.Instance {
 func (r *Result) RestartInstance(m *machine.M, inst *link.Instance) error {
 	snap := m.Snapshot()
 	m.ResetData(link.InstanceSymbols(inst))
-	if err := runInits(m, inst, inst.Path, "restart", snap); err != nil {
+	if err := runSteps(m, instanceSteps(inst, inst.Path, false), "init", "restart", snap, nil); err != nil {
 		return err
 	}
 	event(m, inst.Path, "restart")
@@ -79,26 +79,15 @@ func (r *Result) RestartScope(m *machine.M, scope string) error {
 	for _, inst := range inScope {
 		m.ResetData(link.InstanceSymbols(inst))
 	}
+	var steps []sched.Step
 	for _, i := range r.Schedule.InitsForScope(scope) {
-		_, err := m.Run(r.Schedule.Inits[i])
-		step := r.Schedule.InitSteps[i]
-		event(m, step.Instance, "init")
-		if err != nil {
-			m.Restore(snap)
-			return &LifecycleError{
-				Op:         "restart",
-				Unit:       step.Instance,
-				Func:       step.Func,
-				Global:     step.Global,
-				Err:        err,
-				RolledBack: true,
-			}
-		}
+		steps = append(steps, r.Schedule.InitSteps[i])
 	}
 	for _, inst := range dynInScope {
-		if err := runInits(m, inst, inst.Path, "restart", snap); err != nil {
-			return err
-		}
+		steps = append(steps, instanceSteps(inst, inst.Path, false)...)
+	}
+	if err := runSteps(m, steps, "init", "restart", snap, nil); err != nil {
+		return err
 	}
 	for _, inst := range append(inScope, dynInScope...) {
 		event(m, inst.Path, "restart")

@@ -152,23 +152,10 @@ func (r *Result) RunInit(m *machine.M) error {
 		return nil
 	}
 	snap := m.Snapshot()
-	for i, name := range r.Schedule.Inits {
-		_, err := m.Run(name)
-		event(m, r.Schedule.InitSteps[i].Instance, "init")
-		if err == nil {
-			continue
-		}
-		step := r.Schedule.InitSteps[i]
-		lerr := &LifecycleError{
-			Op:     "init",
-			Unit:   step.Instance,
-			Func:   step.Func,
-			Global: step.Global,
-			Err:    err,
-		}
-		// Unwind: finalize the fully initialized components, most
-		// recently ready first, collecting (not masking) any failures.
-		for _, j := range r.Schedule.FinsReadyAfter(i) {
+	// Unwind a failure: finalize the fully initialized components, most
+	// recently ready first, collecting (not masking) any failures.
+	unwind := func(failed int, lerr *LifecycleError) {
+		for _, j := range r.Schedule.FinsReadyAfter(failed) {
 			fin := r.Schedule.FinSteps[j]
 			event(m, fin.Instance, "fini")
 			if _, ferr := m.Run(fin.Global); ferr != nil {
@@ -177,9 +164,9 @@ func (r *Result) RunInit(m *machine.M) error {
 				})
 			}
 		}
-		m.Restore(snap)
-		lerr.RolledBack = true
-		return lerr
+	}
+	if err := runSteps(m, r.Schedule.InitSteps, "init", "init", snap, unwind); err != nil {
+		return err
 	}
 	st.initDone = true
 	return nil

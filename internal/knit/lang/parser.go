@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Parse parses a unit-language file. A lexical error anywhere in the
 // file is reported in preference to a syntax error.
@@ -142,16 +145,14 @@ func (p *parser) bundleType() (*BundleType, error) {
 		return nil, err
 	}
 	bt := &BundleType{Pos: pos, Name: name.Lit}
-	seen := map[string]bool{}
 	for !p.accept(RBRACE) {
 		sym, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if seen[sym.Lit] {
+		if slices.Contains(bt.Syms, sym.Lit) {
 			return nil, &Error{Pos: sym.Pos, Msg: fmt.Sprintf("duplicate symbol %q in bundletype %s", sym.Lit, name.Lit)}
 		}
-		seen[sym.Lit] = true
 		bt.Syms = append(bt.Syms, sym.Lit)
 		if !p.accept(COMMA) {
 			if _, err := p.expect(RBRACE); err != nil {
@@ -257,18 +258,10 @@ func (p *parser) unitSection(u *Unit) error {
 	switch p.tok.Kind {
 	case KwImports:
 		p.advance()
-		bs, err := p.bindings()
-		if err != nil {
-			return err
-		}
-		u.Imports = append(u.Imports, bs...)
+		return p.bindings(&u.Imports)
 	case KwExports:
 		p.advance()
-		bs, err := p.bindings()
-		if err != nil {
-			return err
-		}
-		u.Exports = append(u.Exports, bs...)
+		return p.bindings(&u.Exports)
 	case KwDepends:
 		p.advance()
 		if _, err := p.expect(LBRACE); err != nil {
@@ -399,57 +392,54 @@ func (p *parser) unitSection(u *Unit) error {
 	return nil
 }
 
-func (p *parser) bindings() ([]Binding, error) {
+// bindings parses a bracketed binding list and appends it to out.
+func (p *parser) bindings(out *[]Binding) error {
 	if _, err := p.expect(LBRACK); err != nil {
-		return nil, err
+		return err
 	}
-	var out []Binding
 	for !p.accept(RBRACK) {
 		local, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := p.expect(COLON); err != nil {
-			return nil, err
+			return err
 		}
 		typ, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, Binding{Pos: local.Pos, Local: local.Lit, Type: typ.Lit})
+		*out = append(*out, Binding{Pos: local.Pos, Local: local.Lit, Type: typ.Lit})
 		if !p.accept(COMMA) {
 			if _, err := p.expect(RBRACK); err != nil {
-				return nil, err
+				return err
 			}
 			break
 		}
 	}
-	if _, err := p.expect(SEMI); err != nil {
-		return nil, err
-	}
-	return out, nil
+	_, err := p.expect(SEMI)
+	return err
 }
 
-// depTerm parses IDENT | exports | imports | ( term { + term } ).
-func (p *parser) depTerm() ([]string, error) {
+// depTerm parses IDENT | exports | imports | ( term { + term } ) and
+// appends the names it denotes to out.
+func (p *parser) depTerm(out []string) ([]string, error) {
 	switch p.tok.Kind {
 	case IDENT:
-		return []string{p.next().Lit}, nil
+		return append(out, p.next().Lit), nil
 	case KwExports:
 		p.advance()
-		return []string{ExportsKeyword}, nil
+		return append(out, ExportsKeyword), nil
 	case KwImports:
 		p.advance()
-		return []string{ImportsKeyword}, nil
+		return append(out, ImportsKeyword), nil
 	case LPAREN:
 		p.advance()
-		var out []string
 		for {
-			t, err := p.depTerm()
-			if err != nil {
+			var err error
+			if out, err = p.depTerm(out); err != nil {
 				return nil, err
 			}
-			out = append(out, t...)
 			if p.accept(PLUS) {
 				continue
 			}
@@ -464,31 +454,27 @@ func (p *parser) depTerm() ([]string, error) {
 
 func (p *parser) depClause() (DepClause, error) {
 	pos := p.cur().Pos
-	lhs, err := p.depTerm()
+	lhs, err := p.depTerm(nil)
 	if err != nil {
 		return DepClause{}, err
 	}
 	// Allow "a + b needs ..." without parens.
 	for p.accept(PLUS) {
-		more, err := p.depTerm()
-		if err != nil {
+		if lhs, err = p.depTerm(lhs); err != nil {
 			return DepClause{}, err
 		}
-		lhs = append(lhs, more...)
 	}
 	if _, err := p.expect(KwNeeds); err != nil {
 		return DepClause{}, err
 	}
-	rhs, err := p.depTerm()
+	rhs, err := p.depTerm(nil)
 	if err != nil {
 		return DepClause{}, err
 	}
 	for p.accept(PLUS) || p.accept(COMMA) {
-		more, err := p.depTerm()
-		if err != nil {
+		if rhs, err = p.depTerm(rhs); err != nil {
 			return DepClause{}, err
 		}
-		rhs = append(rhs, more...)
 	}
 	if _, err := p.expect(SEMI); err != nil {
 		return DepClause{}, err

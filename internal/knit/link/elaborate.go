@@ -1,8 +1,13 @@
 package link
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"knit/internal/asm"
@@ -45,6 +50,7 @@ type Instance struct {
 	Path  string // e.g. "LogServe/Log#1", for diagnostics
 	Unit  *lang.Unit
 	Files []*cmini.File // renamed per instance (C sources), never shared
+	srcs  []string      // srcs[i] is the source text of Files[i] (see FileKey)
 	// Objects holds the unit's assembly-implemented files (paper: "Knit
 	// can actually work with C, assembly, and object code"), already
 	// instance-renamed at the object level — the objcopy path. Assembly
@@ -58,6 +64,37 @@ type Instance struct {
 	// ExportNeeds maps export local -> import locals it depends on.
 	ExportNeeds map[string][]string
 	Inits       []*Init // initializers and finalizers, in declaration order
+}
+
+// FileKey identifies the renamed C file Files[i] by exactly its inputs:
+// its name, its source text, and the names now at its rename sites —
+// top-level declaration names, then its global references in walk
+// order. Renaming changes a file only at those sites, and the names it
+// writes there end in an instance suffix (__kN) that C locals do not
+// use, so two files renamed from the same text are equal exactly when
+// their keys are. A rename the file never uses does not change its
+// key; an edit to the source text does, comments and whitespace
+// included.
+func (inst *Instance) FileKey(i int) string {
+	f := inst.Files[i]
+	h := sha256.New()
+	io.WriteString(h, f.Name)
+	h.Write([]byte{0})
+	io.WriteString(h, inst.srcs[i])
+	name := func(s string) {
+		h.Write([]byte{0})
+		io.WriteString(h, s)
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *cmini.VarDecl:
+			name(d.Name)
+		case *cmini.FuncDecl:
+			name(d.Name)
+		}
+	}
+	cmini.WalkGlobalRefs(f, func(id *cmini.Ident) { name(id.Name) })
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ImportType returns the bundle type name for an import local.
@@ -127,7 +164,7 @@ type elab struct {
 	// parsed file; the last of them renames it in place, the others a
 	// copy.
 	uses    map[*cmini.File]int
-	cidents map[*lang.Unit]map[bkey]string
+	renames map[*lang.Unit]map[bkey]string
 	nextID  int
 	depth   int
 }
@@ -137,20 +174,20 @@ func newElab(reg *Registry, sources Sources, nextID int) *elab {
 		parsed:    map[string]*cmini.File{},
 		assembled: map[string]*obj.File{},
 		uses:      map[*cmini.File]int{},
-		cidents:   map[*lang.Unit]map[bkey]string{},
+		renames:   map[*lang.Unit]map[bkey]string{},
 		nextID:    nextID}
 }
 
-// cidentMap is the package's cidentMap, computed once per unit.
-func (e *elab) cidentMap(u *lang.Unit) (map[bkey]string, error) {
-	if m, ok := e.cidents[u]; ok {
+// renamesOf is the package's renamesOf, computed once per unit.
+func (e *elab) renamesOf(u *lang.Unit) (map[bkey]string, error) {
+	if m, ok := e.renames[u]; ok {
 		return m, nil
 	}
-	m, err := cidentMap(e.reg, u)
+	m, err := renamesOf(e.reg, u)
 	if err != nil {
 		return nil, err
 	}
-	e.cidents[u] = m
+	e.renames[u] = m
 	return m, nil
 }
 
@@ -271,8 +308,8 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 		inst.ImportWires[imp.Local] = env[imp.Local]
 	}
 	// Export symbol global names.
-	suffix := fmt.Sprintf("__k%d", inst.ID)
-	cidents, err := e.cidentMap(u)
+	suffix := "__k" + strconv.Itoa(inst.ID)
+	renames, err := e.renamesOf(u)
 	if err != nil {
 		return nil, err
 	}
@@ -281,9 +318,9 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 		if bt == nil {
 			return nil, errAt(exp.Pos, "%s: unknown bundle type %q", path, exp.Type)
 		}
-		syms := map[string]string{}
+		syms := make(map[string]string, len(bt.Syms))
 		for _, s := range bt.Syms {
-			syms[s] = cidents[bkey{exp.Local, s}] + suffix
+			syms[s] = cident(renames, exp.Local, s) + suffix
 		}
 		inst.ExportSyms[exp.Local] = syms
 	}
@@ -322,6 +359,7 @@ func (e *elab) elaborateAtomic(u *lang.Unit, env map[string]*Wire, path string, 
 			base = f
 		}
 		inst.Files = append(inst.Files, base)
+		inst.srcs = append(inst.srcs, src)
 		e.uses[base]++
 	}
 	prog.Instances = append(prog.Instances, inst)
@@ -429,62 +467,59 @@ type bkey struct {
 	sym   string
 }
 
-// cidentMap computes, for unit u, the C identifier used for each
-// (bundle local, symbol) of its imports and exports — the default is the
-// symbol name itself, overridden by rename clauses. The mapping from C
-// identifiers back to bundle symbols must be unambiguous; when two
-// bundles would claim the same identifier the unit must rename one
-// (paper §3.2's wrap/interpose pattern).
-func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
-	renames := map[bkey]string{}
-	valid := map[string]bool{}
-	for _, b := range append(append([]lang.Binding{}, u.Imports...), u.Exports...) {
-		valid[b.Local] = true
+// cident is the C identifier that unit code uses for symbol sym of
+// bundle local: sym itself unless one of the unit's renames (from
+// renamesOf) changes it.
+func cident(renames map[bkey]string, local, sym string) string {
+	if to, ok := renames[bkey{local, sym}]; ok {
+		return to
 	}
+	return sym
+}
+
+// renamesOf returns unit u's rename clauses, checked: each names a
+// symbol of one of u's bundles, and afterwards the C identifiers of its
+// imports and exports are unambiguous; when two bundles would claim the
+// same identifier the unit must rename one (paper §3.2's
+// wrap/interpose pattern).
+func renamesOf(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
+	var renames map[bkey]string
 	for _, r := range u.Renames {
-		if !valid[r.Bundle] {
+		bound := func(b lang.Binding) bool { return b.Local == r.Bundle }
+		if !slices.ContainsFunc(u.Imports, bound) && !slices.ContainsFunc(u.Exports, bound) {
 			return nil, errAt(r.Pos, "unit %s: rename of unknown bundle %q", u.Name, r.Bundle)
+		}
+		if renames == nil {
+			renames = map[bkey]string{}
 		}
 		renames[bkey{r.Bundle, r.Sym}] = r.To
 	}
-	out := map[bkey]string{}
 	owner := map[string]bkey{}
-	addAll := func(bs []lang.Binding) error {
+	for _, bs := range [][]lang.Binding{u.Imports, u.Exports} {
 		for _, b := range bs {
 			bt, ok := reg.BundleTypes[b.Type]
 			if !ok {
-				return errAt(b.Pos, "unit %s: unknown bundle type %q", u.Name, b.Type)
+				return nil, errAt(b.Pos, "unit %s: unknown bundle type %q", u.Name, b.Type)
 			}
 			for _, s := range bt.Syms {
-				id := s
-				if to, ok := renames[bkey{b.Local, s}]; ok {
-					id = to
-				}
+				id := cident(renames, b.Local, s)
 				if prev, clash := owner[id]; clash {
-					return errAt(b.Pos,
+					return nil, errAt(b.Pos,
 						"unit %s: C identifier %q is claimed by both %s.%s and %s.%s — add a rename",
 						u.Name, id, prev.local, prev.sym, b.Local, s)
 				}
 				owner[id] = bkey{b.Local, s}
-				out[bkey{b.Local, s}] = id
 			}
 		}
-		return nil
-	}
-	if err := addAll(u.Imports); err != nil {
-		return nil, err
-	}
-	if err := addAll(u.Exports); err != nil {
-		return nil, err
 	}
 	// Verify rename targets referenced real bundle symbols.
-	for k := range renames {
-		if _, ok := out[k]; !ok {
+	for k, to := range renames {
+		if owner[to] != k {
 			return nil, errAt(u.Pos, "unit %s: rename of %s.%s does not match any bundle symbol",
 				u.Name, k.local, k.sym)
 		}
 	}
-	return out, nil
+	return renames, nil
 }
 
 // resolveSymbols runs after all wires are patched: it builds each
@@ -495,11 +530,11 @@ func cidentMap(reg *Registry, u *lang.Unit) (map[bkey]string, error) {
 func (e *elab) resolveSymbols(prog *Program) error {
 	for _, inst := range prog.Instances {
 		u := inst.Unit
-		cidents, err := e.cidentMap(u)
+		renames, err := e.renamesOf(u)
 		if err != nil {
 			return err
 		}
-		suffix := fmt.Sprintf("__k%d", inst.ID)
+		suffix := "__k" + strconv.Itoa(inst.ID)
 		mapping := map[string]string{}
 		importIdents := map[string]bool{}
 		// Imports: cident -> provider's global name.
@@ -510,7 +545,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 			}
 			bt := e.reg.BundleTypes[imp.Type]
 			for _, s := range bt.Syms {
-				id := cidents[bkey{imp.Local, s}]
+				id := cident(renames, imp.Local, s)
 				target, ok := w.Provider.ExportSyms[w.Bundle][s]
 				if !ok {
 					return errAt(imp.Pos, "%s: provider %s has no symbol %q in bundle %q",
@@ -525,7 +560,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		for _, exp := range u.Exports {
 			bt := e.reg.BundleTypes[exp.Type]
 			for _, s := range bt.Syms {
-				id := cidents[bkey{exp.Local, s}]
+				id := cident(renames, exp.Local, s)
 				mapping[id] = inst.ExportSyms[exp.Local][s]
 				exportIdents[id] = true
 			}
@@ -593,7 +628,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					name, static = d.Name, d.Static && d.Body != nil
 				}
 				if static {
-					statics[name] = fmt.Sprintf("%s%s_f%d", name, suffix, fi)
+					statics[name] = name + suffix + "_f" + strconv.Itoa(fi)
 				}
 			}
 			rename := func(name *string) bool {
@@ -635,8 +670,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 		}
 		// Assembly files: the same renaming, applied at the object level
 		// (the objcopy path). Locals get a per-file suffix like C statics.
-		for fi, raw := range inst.asmRaw {
-			o := raw.Clone()
+		for fi, o := range inst.asmRaw {
 			objMap := map[string]string{}
 			for k, v := range mapping {
 				objMap[k] = v
@@ -655,8 +689,7 @@ func (e *elab) resolveSymbols(prog *Program) error {
 					"%s: assembly file %s uses symbol %q which is neither defined by the unit nor bound to an import",
 					inst.Path, o.Name, s.Name)
 			}
-			obj.Rename(o, objMap)
-			inst.Objects = append(inst.Objects, o)
+			inst.Objects = append(inst.Objects, obj.Rename(o, objMap))
 		}
 		// Record initializer global names and validate they are defined.
 		for _, ini := range inst.Inits {

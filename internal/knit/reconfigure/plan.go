@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"knit/internal/cmini"
 	"knit/internal/knit/build"
 	"knit/internal/knit/constraint"
 	"knit/internal/knit/link"
@@ -191,12 +190,13 @@ func (p *Plan) classify() error {
 }
 
 // sameInstance reports whether a slot's base and target instances are
-// interchangeable without touching the machine: same unit, byte-equal
-// renamed sources and assembly objects, the same wiring (by provider
-// slot), and the same initializer and export surface. Byte-equality of
-// the renamed sources doubles as an instance-ID check — the IDs are in
-// the generated names — which is exactly the property that lets
-// unchanged callers keep their resolved globals.
+// interchangeable without touching the machine: same unit and instance
+// ID, equal per-file keys (link.Instance.FileKey: the same source text
+// under the same renames, so the same renamed sources), the same
+// assembly objects, the same wiring (by provider slot), and the same
+// initializer and export surface. Equal renames fold in the instance
+// ID — it is in the generated names — which is exactly the property
+// that lets unchanged callers keep their resolved globals.
 func sameInstance(b, t *link.Instance) bool {
 	if b.Unit.Name != t.Unit.Name || b.ID != t.ID {
 		return false
@@ -205,7 +205,7 @@ func sameInstance(b, t *link.Instance) bool {
 		return false
 	}
 	for i := range b.Files {
-		if cmini.Print(b.Files[i]) != cmini.Print(t.Files[i]) {
+		if b.FileKey(i) != t.FileKey(i) {
 			return false
 		}
 	}

@@ -82,6 +82,9 @@ func (e *UndefinedError) Error() string {
 //   - two included objects defining the same global symbol is an error;
 //   - any reference still undefined at the end is an error, unless
 //     allowed by Options.AllowUndefined.
+//
+// The input objects are left unchanged (obj.Append copies what it must
+// rewrite), so one compiled object can take part in many links.
 func Link(items []Item, opts Options) (*obj.File, error) {
 	var included []*obj.File
 	defined := map[string]string{} // symbol -> defining object name
@@ -153,7 +156,7 @@ func Link(items []Item, opts Options) (*obj.File, error) {
 
 	out := obj.NewFile("a.out")
 	for _, f := range included {
-		obj.Append(out, f.Clone())
+		obj.Append(out, f)
 	}
 	return out, nil
 }

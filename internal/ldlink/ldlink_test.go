@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"knit/internal/asm"
 	"knit/internal/cmini"
 	"knit/internal/compile"
 	"knit/internal/machine"
@@ -248,5 +249,40 @@ int get_b(void) { return state; }
 	}
 	if a.Funcs["get_a"].Code[0].Sym != before {
 		t.Error("linking mutated input object")
+	}
+
+	// The first object's extern is defined by a later one (the merged
+	// symbol table overwrites the undefined entry), and the later
+	// object's string literal moves to a new index in the merged table.
+	user := co(t, "user.c", `
+extern int lib_len(char *s);
+char *greeting = "hi";
+int use(void) { return lib_len(greeting); }
+`)
+	lib := co(t, "lib.c", `
+char *sep = ",";
+int lib_len(char *s) {
+	int n = 0;
+	while (s[n]) { n++; }
+	return n + strlen_of(sep);
+}
+int strlen_of(char *s) { char *comma = ","; if (s[0] == comma[0]) { return 10; } return 0; }
+`)
+	inputs := []*obj.File{a, b, user, lib}
+	want := make([]string, len(inputs))
+	for i, o := range inputs {
+		want[i] = asm.Format(o)
+	}
+	out, err := Link([]Item{Obj(a), Obj(b), Obj(user), Obj(lib)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(t, out, "use"); got != 12 {
+		t.Errorf("use() = %d, want 12", got)
+	}
+	for i, o := range inputs {
+		if got := asm.Format(o); got != want[i] {
+			t.Errorf("Link mutated %s:\n%s\nwant\n%s", o.Name, got, want[i])
+		}
 	}
 }

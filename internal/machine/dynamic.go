@@ -108,10 +108,12 @@ func moduleRefs(o *obj.File, l *layout) []string {
 // symbols, the same puzzle-piece discipline the loader enforces, run in
 // reverse.
 //
-// Reclamation detail: the topmost module's data and text are truncated
-// outright; a module unloaded from the middle leaves its data region
-// zeroed (addresses are never reused) and its text range unreclaimed
-// until the modules above it go too.
+// Reclamation detail: memory and text shrink to the highest end any
+// remaining live module claims, never below the image's own end. A
+// module unloaded from below a live one leaves its data region zeroed
+// and its text range unused until the modules above it go too; then
+// the whole hole is reclaimed, so a machine with no live module has
+// exactly a fresh machine's memory and text.
 func (m *M) UnloadDynamic(name string) error {
 	mod := m.loaded(name)
 	if mod == nil {
@@ -140,11 +142,12 @@ func (m *M) UnloadDynamic(name string) error {
 		}
 	}
 
-	// Reclaim memory and text. Memory can shrink only down to the
-	// highest region end any *other* live module still claims — a module
-	// loaded later than this one may hold an (empty) region right at the
-	// current end of memory, and its base must stay in bounds.
-	memEnd, textEnd := mod.dataBase, mod.textBase
+	// Reclaim memory and text down to the highest region end any
+	// *other* live module still claims — a module loaded later than this
+	// one may hold an (empty) region right at the current end of memory,
+	// and its base must stay in bounds — but never below the image's
+	// memory (data and stack) and text.
+	memEnd, textEnd := m.stackLimit, m.Img.TextSize
 	var live []*module
 	for _, other := range m.mods {
 		if other != mod {
@@ -153,16 +156,11 @@ func (m *M) UnloadDynamic(name string) error {
 			textEnd = max(textEnd, other.textEnd)
 		}
 	}
-	if memEnd < int64(len(m.Mem)) {
-		m.Mem = m.Mem[:memEnd]
-	}
-	for i := mod.dataBase; i < mod.dataEnd && i < int64(len(m.Mem)); i++ {
+	m.Mem = m.Mem[:memEnd]
+	for i := mod.dataBase; i < min(mod.dataEnd, memEnd); i++ {
 		m.Mem[i] = 0
 	}
-	m.textTop = min(m.textTop, textEnd)
-	if len(live) == 0 {
-		m.textTop = m.Img.TextSize // text restarts at the image's end
-	}
+	m.textTop = textEnd
 	m.mods = live
 	// Compiled forms of the unloaded functions must go (their dispatch
 	// slots and baked addresses are dead); dropping the whole per-machine

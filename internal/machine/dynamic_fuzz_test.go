@@ -128,7 +128,8 @@ func fuzzOp(b byte) (op, tpl, variant int) {
 // sequences against a model that predicts which must succeed, and runs
 // the machine's dynamic invariant checker plus every live (and dead)
 // entry point after each step. A refused load must leave the machine
-// exactly as it was. It is the harness for the guarantee that no
+// exactly as it was, and with no module live the machine's memory and
+// text must be a fresh machine's. It is the harness for the guarantee that no
 // sequence of lifecycle operations leaves two definitions of one name,
 // a dangling symbol or an unlaunchable machine.
 func FuzzDynamicLifecycle(f *testing.F) {
@@ -155,6 +156,7 @@ func FuzzDynamicLifecycle(f *testing.F) {
 		base.Datas["base_g"] = &obj.Data{Name: "base_g", Size: 1}
 		base.AddSym(&obj.Symbol{Name: "base_g", Kind: obj.SymData, Defined: true})
 		m := loadFile(t, base)
+		memFresh, textFresh := len(m.Mem), m.textTop
 
 		// The model: the file each template was loaded from, nil when
 		// not live.
@@ -181,6 +183,12 @@ func FuzzDynamicLifecycle(f *testing.F) {
 			t.Helper()
 			if err := m.CheckDynInvariants(); err != nil {
 				t.Fatalf("step %d: invariants violated: %v", step, err)
+			}
+			// Unloads leave no residue: with no module live, memory and
+			// text are a fresh machine's.
+			if live == [4]*obj.File{} && (len(m.Mem) != memFresh || m.textTop != textFresh) {
+				t.Fatalf("step %d: no module live, but mem %d words (fresh %d), text top %d (fresh %d)",
+					step, len(m.Mem), memFresh, m.textTop, textFresh)
 			}
 			for tpl := 0; tpl < 4; tpl++ {
 				fn := fmt.Sprintf("fn_%d", tpl)

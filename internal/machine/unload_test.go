@@ -195,3 +195,62 @@ func TestModuleDataFollowsSnapshots(t *testing.T) {
 		t.Fatalf("module data after restore = %v, want [lo-data]", got)
 	}
 }
+
+// TestUnloadReclaimsTopHoles unloads a module from below a live one and
+// then the live one: memory and text must shrink back to the end of the
+// module still live below them, and to a fresh machine's size once no
+// module is live, however many times the cycle repeats. While the upper
+// module lives, the lower one's hole stays in place and the upper module
+// keeps working.
+func TestUnloadReclaimsTopHoles(t *testing.T) {
+	for _, backend := range []Backend{BackendInterp, BackendCompiled} {
+		t.Run(backend.String(), func(t *testing.T) {
+			m := baseMachine(t)
+			m.SetBackend(backend)
+			memFresh, textFresh := len(m.Mem), m.textTop
+			if err := loadDynamic(m, constMod("keep", "keep_fn", "keep_g", 3)); err != nil {
+				t.Fatal(err)
+			}
+			memBase, textBase := len(m.Mem), m.textTop
+			for cycle := 0; cycle < 3; cycle++ {
+				if err := loadDynamic(m, constMod("lo", "lo_fn", "lo_g", 1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := loadDynamic(m, constMod("hi", "hi_fn", "hi_g", 2)); err != nil {
+					t.Fatal(err)
+				}
+				memTop, textTop := len(m.Mem), m.textTop
+				if err := m.UnloadDynamic("lo"); err != nil {
+					t.Fatal(err)
+				}
+				if len(m.Mem) != memTop || m.textTop != textTop {
+					t.Errorf("cycle %d: unloading below a live module moved the top: mem %d -> %d, text %d -> %d",
+						cycle, memTop, len(m.Mem), textTop, m.textTop)
+				}
+				if v, err := m.Run("hi_fn"); err != nil || v != 2 {
+					t.Errorf("cycle %d: hi_fn = %d, %v; want 2", cycle, v, err)
+				}
+				if err := m.UnloadDynamic("hi"); err != nil {
+					t.Fatal(err)
+				}
+				if len(m.Mem) != memBase || m.textTop != textBase {
+					t.Errorf("cycle %d: only keep live, but mem %d words (want %d), text top %d (want %d)",
+						cycle, len(m.Mem), memBase, m.textTop, textBase)
+				}
+				if v, err := m.Run("keep_fn"); err != nil || v != 3 {
+					t.Errorf("cycle %d: keep_fn = %d, %v; want 3", cycle, v, err)
+				}
+				if err := m.CheckDynInvariants(); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := m.UnloadDynamic("keep"); err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Mem) != memFresh || m.textTop != textFresh {
+				t.Errorf("no module live, but mem %d words (fresh %d), text top %d (fresh %d)",
+					len(m.Mem), memFresh, m.textTop, textFresh)
+			}
+		})
+	}
+}

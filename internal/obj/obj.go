@@ -7,6 +7,7 @@ package obj
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -212,63 +213,49 @@ func (fn *Func) Clone() *Func {
 	return &cp
 }
 
-// Rename rewrites every global symbol reference in f — symbol-table
-// entries, call targets, address-of-global operands, and data-initializer
-// relocations — according to mapping. It is the model of the modified
-// objcopy the Knit prototype uses for renaming and for duplicating
-// multiply-instantiated units.
-func Rename(f *File, mapping map[string]string) {
-	if len(mapping) == 0 {
-		return
-	}
+// Rename returns a copy of f with every global symbol reference —
+// symbol-table entries, call targets, address-of-global operands, and
+// data-initializer relocations — rewritten according to mapping. f is
+// left unchanged: a compiled object is never mutated once built, so
+// caches and links can share it. The copy shares f's string table and
+// call-argument lists, which renaming does not touch. Rename is the
+// model of the modified objcopy the Knit prototype uses for renaming and
+// for duplicating multiply-instantiated units.
+func Rename(f *File, mapping map[string]string) *File {
 	ren := func(name string) string {
 		if to, ok := mapping[name]; ok {
 			return to
 		}
 		return name
 	}
-	for _, s := range f.Syms {
-		s.Name = ren(s.Name)
-	}
-	newFuncs := make(map[string]*Func, len(f.Funcs))
-	for name, fn := range f.Funcs {
-		fn.Name = ren(name)
-		for i := range fn.Code {
-			if fn.Code[i].Sym != "" {
-				fn.Code[i].Sym = ren(fn.Code[i].Sym)
-			}
-		}
-		newFuncs[fn.Name] = fn
-	}
-	f.Funcs = newFuncs
-	newDatas := make(map[string]*Data, len(f.Datas))
-	for name, d := range f.Datas {
-		d.Name = ren(name)
-		for i := range d.Init {
-			if d.Init[i].Kind == InitSym {
-				d.Init[i].Sym = ren(d.Init[i].Sym)
-			}
-		}
-		newDatas[d.Name] = d
-	}
-	f.Datas = newDatas
-}
-
-// Clone returns a deep copy of the object file.
-func (f *File) Clone() *File {
 	out := NewFile(f.Name)
-	out.Strings = append([]string(nil), f.Strings...)
+	out.Strings = slices.Clip(f.Strings)
 	for _, s := range f.Syms {
 		cp := *s
+		cp.Name = ren(s.Name)
 		out.Syms = append(out.Syms, &cp)
 	}
 	for name, fn := range f.Funcs {
-		out.Funcs[name] = fn.Clone()
+		cp := *fn
+		cp.Name = ren(name)
+		cp.Code = slices.Clone(fn.Code)
+		for i := range cp.Code {
+			if cp.Code[i].Sym != "" {
+				cp.Code[i].Sym = ren(cp.Code[i].Sym)
+			}
+		}
+		out.Funcs[cp.Name] = &cp
 	}
 	for name, d := range f.Datas {
 		cp := *d
-		cp.Init = append([]DataInit(nil), d.Init...)
-		out.Datas[name] = &cp
+		cp.Name = ren(name)
+		cp.Init = slices.Clone(d.Init)
+		for i := range cp.Init {
+			if cp.Init[i].Kind == InitSym {
+				cp.Init[i].Sym = ren(cp.Init[i].Sym)
+			}
+		}
+		out.Datas[cp.Name] = &cp
 	}
 	return out
 }
@@ -277,6 +264,12 @@ func (f *File) Clone() *File {
 // Symbol-name collisions are the caller's responsibility: linkers must
 // resolve or rename before appending. Local symbols from src are made
 // unique by prefixing with src's file name if they collide.
+//
+// src is left unchanged, so a shared compiled object can be appended
+// into any number of links. dst gets its own copy of each symbol, since
+// AddSym overwrites an undefined entry in place when a later object
+// defines it. A function or data object is copied only when its
+// string-literal indexes must shift, and shared otherwise.
 func Append(dst, src *File) {
 	strBase := len(dst.Strings)
 	dst.Strings = append(dst.Strings, src.Strings...)
@@ -292,29 +285,36 @@ func Append(dst, src *File) {
 		remap[s.Name] = name
 	}
 	if len(remap) > 0 {
-		src = src.Clone()
-		Rename(src, remap)
+		src = Rename(src, remap)
 	}
 	for _, s := range src.Syms {
-		dst.AddSym(s)
+		cp := *s
+		dst.AddSym(&cp)
 	}
 	for name, fn := range src.Funcs {
-		fn = fn.Clone()
-		for i := range fn.Code {
-			if fn.Code[i].Op == OpAddrString {
-				fn.Code[i].Imm += int64(strBase)
+		if strBase > 0 && slices.ContainsFunc(fn.Code, func(in Instr) bool { return in.Op == OpAddrString }) {
+			cp := *fn
+			cp.Code = slices.Clone(fn.Code)
+			for i := range cp.Code {
+				if cp.Code[i].Op == OpAddrString {
+					cp.Code[i].Imm += int64(strBase)
+				}
 			}
+			fn = &cp
 		}
 		dst.Funcs[name] = fn
 	}
 	for name, d := range src.Datas {
-		cp := *d
-		cp.Init = append([]DataInit(nil), d.Init...)
-		for i := range cp.Init {
-			if cp.Init[i].Kind == InitString {
-				cp.Init[i].Index += strBase
+		if strBase > 0 && slices.ContainsFunc(d.Init, func(in DataInit) bool { return in.Kind == InitString }) {
+			cp := *d
+			cp.Init = slices.Clone(d.Init)
+			for i := range cp.Init {
+				if cp.Init[i].Kind == InitString {
+					cp.Init[i].Index += strBase
+				}
 			}
+			d = &cp
 		}
-		dst.Datas[name] = &cp
+		dst.Datas[name] = d
 	}
 }

@@ -39,7 +39,7 @@ func TestRenameRewritesEverything(t *testing.T) {
 		Init: []DataInit{{Kind: InitSym, Sym: "serve_web"}}}
 	f.AddSym(&Symbol{Name: "log_state", Kind: SymData, Defined: true, Local: true})
 
-	Rename(f, map[string]string{
+	f = Rename(f, map[string]string{
 		"serve_web":      "serve_logged",
 		"serve_unlogged": "real_serve_web",
 	})
@@ -115,14 +115,16 @@ func TestAppendRenamesCollidingLocals(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestRenameLeavesInputUnchanged(t *testing.T) {
 	f := NewFile("a.o")
 	f.Funcs["f"] = &Func{Name: "f", Code: []Instr{{Op: OpCall, Sym: "x"}}}
 	f.AddSym(&Symbol{Name: "f", Kind: SymFunc, Defined: true})
-	cp := f.Clone()
-	Rename(cp, map[string]string{"f": "g", "x": "y"})
-	if f.Funcs["f"].Code[0].Sym != "x" {
-		t.Error("rename of clone mutated original")
+	g := Rename(f, map[string]string{"f": "g", "x": "y"})
+	if f.Funcs["f"].Code[0].Sym != "x" || f.Funcs["f"].Name != "f" || f.Sym("f") == nil {
+		t.Error("rename mutated its input")
+	}
+	if g.Funcs["g"] == nil || g.Funcs["g"].Code[0].Sym != "y" || g.Sym("g") == nil {
+		t.Error("rename did not rename its copy")
 	}
 }
 
